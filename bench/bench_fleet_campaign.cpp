@@ -19,9 +19,21 @@
 //      stack is a cache around the single-market pipeline, not a different
 //      model.
 //
+// Every market's path-loss database is built before pass A, timed under
+// its own key (db_build_seconds), so the planning passes never pay
+// propagation. Without --db-dir the databases go to a fresh temporary
+// directory that is removed at exit, so no run inherits files from an
+// earlier one.
+//
 // --json writes the committed BENCH_fleet.json baseline.
+#include <stdlib.h>  // mkdtemp
+
 #include <chrono>
+#include <filesystem>
 #include <iostream>
+#include <optional>
+#include <stdexcept>
+#include <string>
 
 #include "bench_common.h"
 #include "fleet/wave_planner.h"
@@ -55,6 +67,32 @@ using namespace magus;
   return hash;
 }
 
+/// A fresh directory under the system temp dir, removed with everything
+/// in it when the guard goes out of scope.
+class TempDir {
+ public:
+  TempDir() {
+    std::string pattern =
+        (std::filesystem::temp_directory_path() / "magus_fleet_XXXXXX")
+            .string();
+    if (mkdtemp(pattern.data()) == nullptr) {
+      throw std::runtime_error("cannot create a temporary directory");
+    }
+    path_ = pattern;
+  }
+  ~TempDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -75,7 +113,9 @@ int main(int argc, char** argv) {
                 "markets re-planned in pass B's eviction/reload round");
   args.add_flag("samples", "3",
                 "markets cross-checked against the standalone planner");
-  args.add_flag("db-dir", "bench_fleet_db", "per-market database directory");
+  args.add_flag("db-dir", "",
+                "per-market database directory (default: a fresh temporary "
+                "directory, removed at exit)");
   args.add_flag("json", "", "optional JSON summary path (BENCH_fleet.json)");
   util::add_threads_flag(args);
   util::add_obs_flags(args);
@@ -107,8 +147,12 @@ int main(int argc, char** argv) {
     sectors_total += data::generate_market(spec.params).network.sectors().size();
   }
 
+  std::optional<TempDir> temp_dir;
   fleet::StoreOptions store_options;
   store_options.db_dir = args.get_string("db-dir");
+  if (store_options.db_dir.empty()) {
+    store_options.db_dir = temp_dir.emplace().path();
+  }
   store_options.threads = threads;
 
   fleet::WavePlannerOptions planner_options;
@@ -122,6 +166,21 @@ int main(int argc, char** argv) {
   for (const fleet::MarketSpec& spec : specs) {
     requests.push_back({spec.id, sites});
   }
+
+  // ---- Databases: every market's path-loss file, before any pass ----
+  // The same build a store miss runs (a file already there is loaded).
+  std::filesystem::create_directories(store_options.db_dir);
+  const auto build_start = Clock::now();
+  {
+    const fleet::MarketStore naming{specs, store_options};
+    for (const fleet::MarketSpec& spec : specs) {
+      data::Experiment experiment{spec.params, store_options.experiment};
+      (void)experiment.open_footprint_db(naming.db_path(spec.id),
+                                         store_options.tilts, threads);
+    }
+  }
+  const double build_seconds =
+      std::chrono::duration<double>(Clock::now() - build_start).count();
 
   // ---- Pass A: unconstrained ----
   fleet::MarketStore store_a{specs, store_options};
@@ -140,7 +199,7 @@ int main(int argc, char** argv) {
     replan_a.push_back(one.markets.front().fingerprint);
   }
 
-  // ---- Pass B: budget-capped (databases already on disk from pass A) ----
+  // ---- Pass B: budget-capped (databases already on disk) ----
   const std::size_t budget_mb =
       static_cast<std::size_t>(args.get_int("budget-mb"));
   fleet::StoreOptions capped = store_options;
@@ -197,7 +256,9 @@ int main(int argc, char** argv) {
   row("A:unbounded", a_seconds, store_a);
   row("B:capped", b_seconds, store_b);
   table.print(std::cout);
-  std::cout << "fleet: " << markets << " markets, " << sectors_total
+  std::cout << "databases built in "
+            << util::TablePrinter::num(build_seconds, 2) << " s\n"
+            << "fleet: " << markets << " markets, " << sectors_total
             << " sectors, " << plan_a.upgrades_total() << " upgrades, wave "
             << plan_a.wave.makespan() << " windows @ crew cap "
             << planner_options.crew_cap << '\n'
@@ -222,6 +283,7 @@ int main(int argc, char** argv) {
     out.set("crew_cap", static_cast<std::int64_t>(planner_options.crew_cap));
     out.set("threads", static_cast<std::int64_t>(
                            util::resolve_thread_count(threads)));
+    out.set("db_build_seconds", build_seconds);
     out.set("plan_seconds_unbounded", a_seconds);
     out.set("plan_seconds_capped", b_seconds);
     out.set("markets_per_second", markets / a_seconds);

@@ -49,7 +49,9 @@ class Evaluator {
   /// Number of evaluate() calls so far — the search-cost metric reported
   /// by the convergence benches. Counts only *this* evaluator's serial
   /// calls; ParallelEvaluator::evaluation_count() aggregates across its
-  /// workers.
+  /// workers. The Evaluator& overloads of the batched planner phases
+  /// (run_feedback_search, pre_plan_power, GradualTuner::plan) score on
+  /// their own size-1 ParallelEvaluator and are not counted here.
   [[nodiscard]] long evaluation_count() const { return evaluations_; }
 
  private:

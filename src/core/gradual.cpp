@@ -20,9 +20,8 @@ namespace {
 
 /// Appends the model's current state as a plan step, computing handover
 /// counts against the previous snapshot.
-void record_step(GradualPlan& plan, Evaluator& evaluator, double utility,
-                 int compensations, bool is_final) {
-  const auto& model = evaluator.model();
+void record_step(GradualPlan& plan, const model::AnalysisModel& model,
+                 double utility, int compensations, bool is_final) {
   sim::ServiceSnapshot snapshot;
   snapshot.service_map = model.service_map();
   snapshot.on_air = on_air_flags(model.configuration());
@@ -51,7 +50,12 @@ void record_step(GradualPlan& plan, Evaluator& evaluator, double utility,
 /// otherwise applies the best available move as long as the result stays
 /// at or above `floor_utility` (the proactive-spreading mode). Returns the
 /// achieved utility; `*moved` reports whether anything was applied.
-[[nodiscard]] double compensate_once(Evaluator& evaluator,
+///
+/// Every move is one candidate of a single batch, in sector order; the
+/// winner is the first strictly best utility, as a one-at-a-time scan would
+/// pick it.
+[[nodiscard]] double compensate_once(ParallelEvaluator& evaluator,
+                                     SearchMetrics& metrics,
                                      std::span<const net::SectorId> targets,
                                      const net::Configuration& c_after,
                                      double step_db, double current_utility,
@@ -63,59 +67,44 @@ void record_step(GradualPlan& plan, Evaluator& evaluator, double utility,
     return std::find(targets.begin(), targets.end(), s) != targets.end();
   };
 
-  struct Move {
-    net::SectorId sector;
-    double power_delta = 0.0;
-    int tilt_delta = 0;
-  };
-  std::vector<Move> moves;
+  CandidateBatch moves;
   for (std::size_t i = 0; i < current.size(); ++i) {
     const auto s = static_cast<net::SectorId>(i);
     if (is_target(s)) continue;
     const auto& now = current[s];
     const auto& goal = c_after[s];
     if (goal.power_dbm > now.power_dbm) {
+      const double delta = std::min(step_db, goal.power_dbm - now.power_dbm);
       moves.push_back(
-          {s, std::min(step_db, goal.power_dbm - now.power_dbm), 0});
+          Candidate::single(Mutation::power(s, now.power_dbm + delta)));
     }
     if (goal.tilt != now.tilt) {
-      moves.push_back({s, 0.0, goal.tilt > now.tilt ? 1 : -1});
+      moves.push_back(Candidate::single(
+          Mutation::tilt_to(s, now.tilt + (goal.tilt > now.tilt ? 1 : -1))));
     }
   }
   *moved = false;
   if (moves.empty()) return current_utility;
 
-  const auto snapshot = model.snapshot();
+  const std::vector<double> utilities = evaluator.score(moves);
+  metrics.batch(moves.size());
   double best_utility = -std::numeric_limits<double>::infinity();
-  Move best_move{};
-  for (const auto& move : moves) {
-    if (move.power_delta != 0.0) {
-      model.set_power(move.sector,
-                      current[move.sector].power_dbm + move.power_delta);
-    } else {
-      model.set_tilt(move.sector, current[move.sector].tilt + move.tilt_delta);
-    }
-    const double utility = evaluator.evaluate();
-    model.restore(snapshot);
-    if (utility > best_utility) {
-      best_utility = utility;
-      best_move = move;
+  std::size_t best = 0;
+  for (std::size_t i = 0; i < moves.size(); ++i) {
+    if (utilities[i] > best_utility) {
+      best_utility = utilities[i];
+      best = i;
     }
   }
-  if (require_improvement && best_utility <= current_utility) {
-    return current_utility;  // no gain
+  if ((require_improvement && best_utility <= current_utility) ||
+      (!require_improvement && best_utility < floor_utility)) {
+    // No gain, or the move would sink under the guaranteed floor.
+    metrics.reject(moves.size());
+    return current_utility;
   }
-  if (!require_improvement && best_utility < floor_utility) {
-    return current_utility;  // would sink under the guaranteed floor
-  }
-  if (best_move.power_delta != 0.0) {
-    model.set_power(best_move.sector,
-                    current[best_move.sector].power_dbm +
-                        best_move.power_delta);
-  } else {
-    model.set_tilt(best_move.sector,
-                   current[best_move.sector].tilt + best_move.tilt_delta);
-  }
+  metrics.accept(1);
+  metrics.reject(moves.size() - 1);
+  apply_candidate(model, moves[best]);
   *moved = true;
   return best_utility;
 }
@@ -150,15 +139,16 @@ GradualTuner::GradualTuner(GradualOptions options) : options_(options) {
   }
 }
 
-GradualPlan GradualTuner::plan(Evaluator& evaluator,
+GradualPlan GradualTuner::plan(ParallelEvaluator& evaluator,
                                std::span<const net::SectorId> targets,
                                const net::Configuration& c_after) const {
   model::AnalysisModel& model = evaluator.model();
+  SearchMetrics metrics{"gradual"};
   GradualPlan plan;
   plan.floor_utility = evaluator.evaluate_configuration(c_after);
 
   // Step 0: the C_before state.
-  record_step(plan, evaluator, evaluator.evaluate(), 0, false);
+  record_step(plan, model, evaluator.evaluate(), 0, false);
 
   for (int step = 0; step < options_.max_steps; ++step) {
     // Stop lowering once no UEs remain on the targets or the targets have
@@ -188,7 +178,7 @@ GradualPlan GradualTuner::plan(Evaluator& evaluator,
     int compensations = 0;
     for (int k = 0; k < options_.proactive_moves_per_step; ++k) {
       bool moved = false;
-      utility = compensate_once(evaluator, targets, c_after,
+      utility = compensate_once(evaluator, metrics, targets, c_after,
                                 options_.compensation_step_db, utility,
                                 /*require_improvement=*/false,
                                 plan.floor_utility, &moved);
@@ -200,7 +190,7 @@ GradualPlan GradualTuner::plan(Evaluator& evaluator,
     bool exhausted = false;
     while (utility < plan.floor_utility) {
       bool moved = false;
-      utility = compensate_once(evaluator, targets, c_after,
+      utility = compensate_once(evaluator, metrics, targets, c_after,
                                 options_.compensation_step_db, utility,
                                 /*require_improvement=*/true,
                                 plan.floor_utility, &moved);
@@ -214,13 +204,20 @@ GradualPlan GradualTuner::plan(Evaluator& evaluator,
       plan.jumped_to_final = true;
       break;  // jump directly to C_after below
     }
-    record_step(plan, evaluator, utility, compensations, false);
+    record_step(plan, model, utility, compensations, false);
   }
 
   // Final step: targets off-air, full C_after.
   model.set_configuration(c_after);
-  record_step(plan, evaluator, evaluator.evaluate(), 0, true);
+  record_step(plan, model, evaluator.evaluate(), 0, true);
   return plan;
+}
+
+GradualPlan GradualTuner::plan(Evaluator& evaluator,
+                               std::span<const net::SectorId> targets,
+                               const net::Configuration& c_after) const {
+  ParallelEvaluator inline_pool = inline_evaluator(evaluator);
+  return plan(inline_pool, targets, c_after);
 }
 
 GradualPlan direct_switch_plan(Evaluator& evaluator,
@@ -230,9 +227,9 @@ GradualPlan direct_switch_plan(Evaluator& evaluator,
   model::AnalysisModel& model = evaluator.model();
   GradualPlan plan;
   plan.floor_utility = evaluator.evaluate_configuration(c_after);
-  record_step(plan, evaluator, evaluator.evaluate(), 0, false);
+  record_step(plan, model, evaluator.evaluate(), 0, false);
   model.set_configuration(c_after);
-  record_step(plan, evaluator, evaluator.evaluate(), 0, true);
+  record_step(plan, model, evaluator.evaluate(), 0, true);
   return plan;
 }
 

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/evaluator.h"
+#include "core/parallel_evaluator.h"
 #include "core/search_types.h"
 #include "sim/migration_sim.h"
 
@@ -68,7 +69,15 @@ class GradualTuner {
   /// Builds the migration schedule. The evaluator's model must be at
   /// C_before with the UE density frozen; `c_after` is the tuned final
   /// configuration (targets off) found by a search. The model is left at
-  /// the final configuration.
+  /// the final configuration. Each compensation's best-of-moves probe is
+  /// one candidate batch on the evaluator's pool; the schedule is
+  /// bit-identical for any thread count.
+  [[nodiscard]] GradualPlan plan(ParallelEvaluator& evaluator,
+                                 std::span<const net::SectorId> targets,
+                                 const net::Configuration& c_after) const;
+
+  /// The same schedule inline on the calling thread (see
+  /// inline_evaluator).
   [[nodiscard]] GradualPlan plan(Evaluator& evaluator,
                                  std::span<const net::SectorId> targets,
                                  const net::Configuration& c_after) const;

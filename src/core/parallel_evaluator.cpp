@@ -82,6 +82,14 @@ double ParallelEvaluator::evaluate() {
   return evaluate_utility(*model_, utility_, scratch_);
 }
 
+double ParallelEvaluator::evaluate_configuration(const net::Configuration& c) {
+  const auto snapshot = model_->snapshot();
+  model_->set_configuration(c);
+  const double value = evaluate();
+  model_->restore(snapshot);
+  return value;
+}
+
 std::vector<double> ParallelEvaluator::score(std::span<const Candidate> batch) {
   std::vector<double> utilities(batch.size());
   if (batch.empty()) return utilities;
@@ -123,6 +131,11 @@ std::vector<double> ParallelEvaluator::score(std::span<const Candidate> batch) {
   metrics.batch_latency_us.observe(
       static_cast<double>(obs::monotonic_now_ns() - batch_start_ns) / 1000.0);
   return utilities;
+}
+
+ParallelEvaluator inline_evaluator(const Evaluator& serial) {
+  return ParallelEvaluator{&serial.model(), serial.utility(), std::size_t{1},
+                           serial.model().use_coverage_index()};
 }
 
 }  // namespace magus::core

@@ -60,6 +60,11 @@ class ParallelEvaluator {
   /// thread). Counts as one evaluation.
   [[nodiscard]] double evaluate();
 
+  /// Utility of an arbitrary configuration, serially on the bound model:
+  /// applies it, evaluates, and restores the previous state via snapshot
+  /// (the same steps as Evaluator::evaluate_configuration).
+  [[nodiscard]] double evaluate_configuration(const net::Configuration& c);
+
   /// Scores every candidate applied on top of the model's *current* state;
   /// returns the utilities in candidate order. The model itself is left
   /// untouched. Counts batch.size() evaluations.
@@ -95,5 +100,12 @@ class ParallelEvaluator {
   EvalScratch scratch_;  ///< for the serial evaluate()
   std::atomic<long> evaluations_{0};
 };
+
+/// A size-1 evaluator over `serial`'s model and utility that leaves the
+/// model's coverage-index binding as it is. The Evaluator& entry points of
+/// the batched planner phases (run_feedback_search, pre_plan_power,
+/// GradualTuner::plan) run through one, so the serial callers get the same
+/// code path, inline on the calling thread.
+[[nodiscard]] ParallelEvaluator inline_evaluator(const Evaluator& serial);
 
 }  // namespace magus::core

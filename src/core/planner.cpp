@@ -1,6 +1,7 @@
 #include "core/planner.h"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "core/strategies.h"
@@ -97,7 +98,7 @@ void MagusPlanner::polish(MitigationPlan& plan) const {
   polish_options.allow_tilt = options_.mode != TuningMode::kPower;
   polish_options.max_steps = options_.polish_max_steps;
   const FeedbackRun result =
-      run_feedback_search(*evaluator_, plan.involved, polish_options);
+      run_feedback_search(*parallel_, plan.involved, polish_options);
   if (!result.utility_per_step.empty()) {
     plan.search.utility = result.utility_per_step.back();
     plan.search.config = result.final_config;
@@ -176,7 +177,7 @@ MitigationPlan MagusPlanner::plan_upgrade(
                         plan.targets.end());
     model.freeze_uniform_ue_density();
     metrics.pre_plan_steps.add(static_cast<std::uint64_t>(
-        pre_plan_power(*evaluator_, neighborhood, options_.pre_plan_step_db,
+        pre_plan_power(*parallel_, neighborhood, options_.pre_plan_step_db,
                        options_.pre_plan_sweeps)));
   }
   plan.c_before = model.configuration();
@@ -204,7 +205,7 @@ MitigationPlan MagusPlanner::plan_upgrade(
   MAGUS_TRACE_SPAN("planner.gradual", "planner");
   model.set_configuration(plan.c_before);
   const GradualTuner tuner{options_.gradual};
-  plan.gradual = tuner.plan(*evaluator_, targets, plan.search.config);
+  plan.gradual = tuner.plan(*parallel_, targets, plan.search.config);
 
   return plan;
 }
@@ -242,39 +243,117 @@ MitigationPlan MagusPlanner::replan_from_current(
   return plan;
 }
 
-int pre_plan_power(Evaluator& evaluator,
+int pre_plan_power(ParallelEvaluator& evaluator,
                    std::span<const net::SectorId> sectors, double step_db,
                    int sweeps) {
   model::AnalysisModel& model = evaluator.model();
+  const net::Network& network = model.network();
+  SearchMetrics metrics{"pre_plan"};
+  // Speculation depth: rungs scored per batch. The accepted path does not
+  // depend on it, only how many scored rungs are thrown away.
+  const std::size_t depth = evaluator.thread_count();
+  constexpr double kMinImprovement = 1e-9;
+  const std::array<double, 2> directions = {step_db, -step_db};
   int accepted = 0;
   double current_utility = evaluator.evaluate();
-  for (int sweep = 0; sweep < sweeps; ++sweep) {
-    for (const net::SectorId s : sectors) {
-      if (!model.configuration()[s].active) continue;
-      for (const double direction : {step_db, -step_db}) {
-        bool improved_any = false;
-        while (true) {
-          const double before = model.configuration()[s].power_dbm;
-          const auto snapshot = model.snapshot();
-          model.set_power(s, before + direction);
-          if (model.configuration()[s].power_dbm == before) break;  // cap
-          const double utility = evaluator.evaluate();
-          if (utility > current_utility + 1e-9) {
-            current_utility = utility;
-            ++accepted;
-            improved_any = true;
-          } else {
-            model.restore(snapshot);
-            break;
-          }
-        }
-        // If the first direction helped, don't immediately undo it by
-        // probing the other direction this sweep.
-        if (improved_any) break;
+
+  // Climbs sector s in `direction` from the current state, whose first
+  // rung was just accepted. Rung k replays the serial walk's k set_power
+  // calls as one multi-mutation candidate, never as an absolute jump:
+  // set_power accumulates total_mw incrementally, so only the replayed
+  // path is bit-identical to stepping.
+  const auto climb = [&](net::SectorId s, double direction) {
+    const net::Sector& meta = network.sector(s);
+    CandidateBatch ladder;
+    while (true) {
+      ladder.clear();
+      Candidate rung;
+      double power = model.configuration()[s].power_dbm;
+      while (ladder.size() < depth) {
+        if (meta.clamp_power(power + direction) == power) break;  // cap
+        rung.mutations.push_back(Mutation::power(s, power + direction));
+        power = meta.clamp_power(power + direction);
+        ladder.push_back(rung);
       }
+      if (ladder.empty()) return;
+      const std::vector<double> utilities = evaluator.score(ladder);
+      metrics.batch(ladder.size());
+      // Longest improving prefix == the serial accept-or-stop rule.
+      std::size_t steps = 0;
+      while (steps < ladder.size() &&
+             utilities[steps] > current_utility + kMinImprovement) {
+        current_utility = utilities[steps];
+        ++steps;
+      }
+      metrics.ladder_prefix(steps);
+      metrics.accept(steps);
+      metrics.reject(ladder.size() - steps);
+      accepted += static_cast<int>(steps);
+      if (steps > 0) apply_candidate(model, ladder[steps - 1]);
+      if (steps < ladder.size()) return;
+    }
+  };
+
+  // Walk position 2 * i + d is the first rung of sectors[i] in
+  // directions[d]; positions ascend in the order the serial walk probes.
+  const std::size_t end = 2 * sectors.size();
+  std::vector<std::size_t> probes;
+  CandidateBatch batch;
+  for (int sweep = 0; sweep < sweeps; ++sweep) {
+    std::size_t next = 0;  // the next position the serial walk would probe
+    while (next < end) {
+      // Speculate: the walk's next `depth` probes, all from the current
+      // state. Until one is accepted they are exactly the probes the walk
+      // makes, since a rejected probe leaves the state unchanged.
+      probes.clear();
+      batch.clear();
+      const net::Configuration& config = model.configuration();
+      for (std::size_t pos = next; pos < end && batch.size() < depth; ++pos) {
+        const net::SectorId s = sectors[pos / 2];
+        if (!config[s].active) continue;
+        const double target = config[s].power_dbm + directions[pos % 2];
+        if (network.sector(s).clamp_power(target) == config[s].power_dbm) {
+          continue;  // capped: the walk moves on without probing
+        }
+        probes.push_back(pos);
+        batch.push_back(Candidate::single(Mutation::power(s, target)));
+      }
+      if (batch.empty()) break;
+      const std::vector<double> utilities = evaluator.score(batch);
+      metrics.batch(batch.size());
+
+      // Resolve in walk order. Probes after the first accepted one were
+      // scored from a state the walk has left, so they are dropped.
+      std::size_t first = 0;
+      while (first < batch.size() &&
+             utilities[first] <= current_utility + kMinImprovement) {
+        ++first;
+      }
+      if (first == batch.size()) {
+        metrics.reject(batch.size());
+        next = probes.back() + 1;
+        continue;
+      }
+      metrics.accept(1);
+      metrics.reject(batch.size() - 1);
+      apply_candidate(model, batch[first]);
+      current_utility = utilities[first];
+      ++accepted;
+      const std::size_t pos = probes[first];
+      climb(sectors[pos / 2], directions[pos % 2]);
+      // A sector that improved in one direction does not probe the other
+      // this sweep.
+      next = 2 * (pos / 2 + 1);
     }
   }
   return accepted;
+}
+
+int pre_plan_power(Evaluator& evaluator,
+                   std::span<const net::SectorId> sectors, double step_db,
+                   int sweeps) {
+  ParallelEvaluator inline_pool = inline_evaluator(evaluator);
+  return pre_plan_power(inline_pool, sectors, step_db, sweeps);
 }
 
 }  // namespace magus::core

@@ -136,15 +136,16 @@ class MagusPlanner {
       std::span<const net::SectorId> involved,
       std::span<const double> baseline_rates) const;
   /// §2's hybrid phase: a short feedback pass from C_so toward C_after
-  /// (serial; skipped for the naive baseline, which is already pure
-  /// feedback).
+  /// (batched on the parallel evaluator; skipped for the naive baseline,
+  /// which is already pure feedback).
   void polish(MitigationPlan& plan) const;
 
   Evaluator* evaluator_;
   PlannerOptions options_;
-  /// Owns the worker pool + per-worker eval contexts for the drivers. The
-  /// serial phases (pre-planning, feedback polish, gradual scheduling)
-  /// stay on evaluator_.
+  /// Owns the worker pool + per-worker eval contexts. Every probing phase
+  /// runs on it: pre-planning, the searches, the feedback polish and
+  /// gradual scheduling. evaluator_ only scores the single states f_before
+  /// and f_upgrade.
   std::unique_ptr<ParallelEvaluator> parallel_;
 };
 
@@ -153,6 +154,17 @@ class MagusPlanner {
 /// in order. Models what the operator's planning process has already done
 /// to the neighborhood; also usable to "plan" custom networks. Returns the
 /// number of accepted steps; the model is left at the planned configuration.
+///
+/// The first-improvement walk is scored speculatively: each batch holds the
+/// walk's next thread_count() probes from the current state, resolved in
+/// walk order, and a climb's later rungs are scored as a ladder of replayed
+/// paths. The accepted steps and the final state are bit-identical for any
+/// thread count (DESIGN.md §8).
+int pre_plan_power(ParallelEvaluator& evaluator,
+                   std::span<const net::SectorId> sectors,
+                   double step_db = 1.0, int sweeps = 2);
+
+/// The same climb inline on the calling thread (see inline_evaluator).
 int pre_plan_power(Evaluator& evaluator,
                    std::span<const net::SectorId> sectors,
                    double step_db = 1.0, int sweeps = 2);

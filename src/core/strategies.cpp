@@ -19,69 +19,76 @@ std::string strategy_name(StrategyKind kind) {
   return "?";
 }
 
-FeedbackRun run_feedback_search(Evaluator& evaluator,
+FeedbackRun run_feedback_search(ParallelEvaluator& evaluator,
                                 std::span<const net::SectorId> involved,
                                 const FeedbackOptions& options) {
   model::AnalysisModel& model = evaluator.model();
+  const net::Network& network = model.network();
+  SearchMetrics metrics{"polish"};
   FeedbackRun run;
   double current_utility = evaluator.evaluate();
   ++run.probe_count;
 
+  CandidateBatch batch;
   for (int step = 0; step < options.max_steps; ++step) {
-    const auto snapshot = model.snapshot();
-    double best_utility = current_utility + options.min_improvement;
-    net::SectorId best_sector = net::kInvalidSector;
-    double best_power_delta = 0.0;
-    int best_tilt_delta = 0;
-
-    const auto probe = [&](net::SectorId b, double power_delta,
-                           int tilt_delta) {
-      if (power_delta != 0.0) {
-        const double before = model.configuration()[b].power_dbm;
-        model.set_power(b, before + power_delta);
-        if (model.configuration()[b].power_dbm == before) return;  // clamped
-      } else {
-        const auto before = model.configuration()[b].tilt;
-        model.set_tilt(b, before + tilt_delta);
-        if (model.configuration()[b].tilt == before) return;  // clamped
-      }
-      const double utility = evaluator.evaluate();
-      ++run.probe_count;
-      model.restore(snapshot);
-      if (utility > best_utility) {
-        best_utility = utility;
-        best_sector = b;
-        best_power_delta = power_delta;
-        best_tilt_delta = tilt_delta;
-      }
-    };
-
+    // This step's frontier in probe order: per active sector, +unit and
+    // -unit power, then up- and downtilt. Moves the sector's limits clamp
+    // to a no-op are never probed.
+    const net::Configuration& config = model.configuration();
+    batch.clear();
     for (const net::SectorId b : involved) {
-      if (!model.configuration()[b].active) continue;
+      if (!config[b].active) continue;
+      const net::Sector& meta = network.sector(b);
       if (options.allow_power) {
-        probe(b, options.unit_db, 0);
-        probe(b, -options.unit_db, 0);
+        for (const double delta : {options.unit_db, -options.unit_db}) {
+          const double target = config[b].power_dbm + delta;
+          if (meta.clamp_power(target) == config[b].power_dbm) continue;
+          batch.push_back(Candidate::single(Mutation::power(b, target)));
+        }
       }
       if (options.allow_tilt) {
-        probe(b, 0.0, -1);
-        probe(b, 0.0, +1);
+        for (const int delta : {-1, +1}) {
+          const int target = config[b].tilt + delta;
+          if (meta.clamp_tilt(target) == config[b].tilt) continue;
+          batch.push_back(Candidate::single(Mutation::tilt_to(b, target)));
+        }
       }
     }
+    if (batch.empty()) break;  // every move clamped
 
-    if (best_sector == net::kInvalidSector) break;  // converged
-    if (best_power_delta != 0.0) {
-      model.set_power(best_sector, model.configuration()[best_sector].power_dbm +
-                                       best_power_delta);
-    } else {
-      model.set_tilt(best_sector,
-                     model.configuration()[best_sector].tilt + best_tilt_delta);
+    const std::vector<double> utilities = evaluator.score(batch);
+    run.probe_count += static_cast<long>(batch.size());
+    metrics.batch(batch.size());
+
+    // Serial scan in candidate order: an earlier move wins a tie.
+    double best_utility = current_utility + options.min_improvement;
+    std::size_t best = batch.size();
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (utilities[i] > best_utility) {
+        best_utility = utilities[i];
+        best = i;
+      }
     }
+    if (best == batch.size()) {
+      metrics.reject(batch.size());
+      break;  // converged
+    }
+    metrics.accept(1);
+    metrics.reject(batch.size() - 1);
+    apply_candidate(model, batch[best]);
     current_utility = best_utility;
     run.utility_per_step.push_back(current_utility);
   }
 
   run.final_config = model.configuration();
   return run;
+}
+
+FeedbackRun run_feedback_search(Evaluator& evaluator,
+                                std::span<const net::SectorId> involved,
+                                const FeedbackOptions& options) {
+  ParallelEvaluator inline_pool = inline_evaluator(evaluator);
+  return run_feedback_search(inline_pool, involved, options);
 }
 
 std::vector<StrategyTimeline> build_strategy_timelines(

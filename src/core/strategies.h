@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/evaluator.h"
+#include "core/parallel_evaluator.h"
 #include "core/search_types.h"
 
 namespace magus::core {
@@ -57,6 +58,18 @@ struct FeedbackRun {
   net::Configuration final_config;
 };
 
+/// Each step is one candidate batch — every unclamped move of every
+/// active involved sector, in the order the one-at-a-time loop would probe
+/// them — scored on the evaluator's pool. The winner is the candidate that
+/// loop would keep (the first strictly best utility above current +
+/// min_improvement), so the run is bit-identical for any thread count.
+/// Clamped moves are dropped unscored and do not count as probes.
+[[nodiscard]] FeedbackRun run_feedback_search(
+    ParallelEvaluator& evaluator, std::span<const net::SectorId> involved,
+    const FeedbackOptions& options);
+
+/// The same search inline on the calling thread (a size-1 evaluator over
+/// `evaluator`'s model; see inline_evaluator).
 [[nodiscard]] FeedbackRun run_feedback_search(
     Evaluator& evaluator, std::span<const net::SectorId> involved,
     const FeedbackOptions& options);

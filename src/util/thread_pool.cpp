@@ -64,8 +64,10 @@ void ThreadPool::drain(std::size_t worker, const Task& fn, std::size_t count) {
 
 void ThreadPool::run(std::size_t count, const Task& fn) {
   if (count == 0) return;
-  if (threads_.empty()) {
-    // Single-threaded pool: run inline, no synchronization at all.
+  if (threads_.empty() || count == 1) {
+    // Single-threaded pool, or a single task: run inline on the caller
+    // (worker 0), no synchronization at all. Waking the workers for one
+    // task would only add a round trip.
     for (std::size_t task = 0; task < count; ++task) fn(0, task);
     return;
   }
