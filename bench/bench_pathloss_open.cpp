@@ -1,14 +1,13 @@
-// Cold-open streaming bench: what the v3 mmap path buys at market
+// Cold-open streaming bench: what the mmap path buys at market
 // acquisition time, and what footprint-granular residency buys a
 // budget-capped fleet.
 //
-// Part 1 — one market's database, three cold-open paths:
-//   v2 eager:   PathLossDatabase::load of the v2 stream format — every
-//               gain byte read, checksummed and twinned up front,
-//   v3 eager:   the same eager load over the v3 page-aligned file,
-//   v3 mapped:  MappedPathLossDatabase — header + directory only; gain
-//               planes stay on disk until first touch.
-// The headline is speedup_cold_open = v2-eager / v3-mapped-open (gated
+// Part 1 — one market's database file, two cold-open paths:
+//   eager:   PathLossDatabase::load — every gain byte read, checksummed
+//            and twinned up front,
+//   mapped:  MappedPathLossDatabase — header + directory only; gain
+//            planes stay on disk until first touch.
+// The headline is speedup_cold_open = eager-load / mapped-open (gated
 // >= 5x). First-touch materialization of *every* entry is timed
 // separately — that is the amortized cost ceiling a lazy open defers,
 // and in a fleet sweep most of it is never paid. Bitwise identity of the
@@ -85,7 +84,7 @@ int main(int argc, char** argv) {
   using namespace magus;
 
   util::ArgParser args{
-      "Cold-open streaming: v2 eager load vs v3 mapped open, plus a "
+      "Cold-open streaming: eager load vs mapped open, plus a "
       "byte-budget sweep through the fleet store"};
   bench::add_scale_flags(args);
   args.add_flag("tilts", "5",
@@ -110,7 +109,7 @@ int main(int argc, char** argv) {
   const std::size_t threads = util::threads_from(args);
   const int reps = std::max(1, static_cast<int>(args.get_int("reps")));
 
-  // ---- Part 1: one market, three cold-open paths ----
+  // ---- Part 1: one market, two cold-open paths ----
   data::Experiment experiment{
       bench::market_params(data::Morphology::kSuburban, 0, scale, seed)};
   const pathloss::FootprintBuilder builder{
@@ -132,42 +131,34 @@ int main(int argc, char** argv) {
   pathloss::PathLossDatabase db =
       parallel_builder.build_database(experiment.network(), sectors, tilts);
 
-  const std::string v2_path = "bench_open_v2.bin";
-  const std::string v3_path = "bench_open_v3.bin";
-  db.save(v2_path, threads);
-  db.save_v3(v3_path, threads);
-  const std::size_t v2_bytes = file_size(v2_path);
-  const std::size_t v3_bytes = file_size(v3_path);
+  const std::string db_path = "bench_open.bin";
+  db.save(db_path, threads);
+  const std::size_t db_bytes = file_size(db_path);
 
   std::cout << "Cold open: " << sectors.size() << " sectors x "
-            << tilts.size() << " tilts = " << matrices << " matrices, v2 "
-            << v2_bytes / 1024 << " KiB, v3 " << v3_bytes / 1024
-            << " KiB, threads=" << threads << ", reps=" << reps << "\n\n";
+            << tilts.size() << " tilts = " << matrices << " matrices, "
+            << db_bytes / 1024 << " KiB, threads=" << threads
+            << ", reps=" << reps << "\n\n";
 
   const auto mean_of = [&](auto&& body) {
     const auto start = Clock::now();
     for (int r = 0; r < reps; ++r) body();
     return seconds_since(start) / reps;
   };
-  const double wall_load_v2 = mean_of([&] {
+  const double wall_load_eager = mean_of([&] {
     const pathloss::PathLossDatabase loaded =
-        pathloss::PathLossDatabase::load(v2_path, threads);
-    if (loaded.entry_count() != matrices) std::abort();
-  });
-  const double wall_load_v3_eager = mean_of([&] {
-    const pathloss::PathLossDatabase loaded =
-        pathloss::PathLossDatabase::load(v3_path, threads);
+        pathloss::PathLossDatabase::load(db_path, threads);
     if (loaded.entry_count() != matrices) std::abort();
   });
   const double wall_open_mapped = mean_of([&] {
-    const pathloss::MappedPathLossDatabase mapped{v3_path};
+    const pathloss::MappedPathLossDatabase mapped{db_path};
     if (mapped.entry_count() != matrices) std::abort();
   });
 
   // First-touch cost: materialize every entry of a freshly opened mapping.
   // This is the total the lazy open defers; a fleet sweep touching one
   // tilt per sector pays ~1/tilts of it.
-  pathloss::MappedPathLossDatabase mapped{v3_path};
+  pathloss::MappedPathLossDatabase mapped{db_path};
   const auto touch_start = Clock::now();
   for (const net::SectorId s : sectors) {
     for (const radio::TiltIndex t : tilts) {
@@ -178,7 +169,7 @@ int main(int argc, char** argv) {
   const std::size_t heap_bytes_full = mapped.resident_bytes();
   const std::size_t mapped_bytes = mapped.mapped_bytes();
 
-  pathloss::PathLossDatabase eager = pathloss::PathLossDatabase::load(v2_path);
+  pathloss::PathLossDatabase eager = pathloss::PathLossDatabase::load(db_path);
   const bool mapped_equals_eager =
       windows_identical(mapped, eager, sectors, tilts);
   const std::size_t released = mapped.release_residency();
@@ -186,22 +177,19 @@ int main(int argc, char** argv) {
       released > 0 && mapped.resident_bytes() == 0 &&
       windows_identical(mapped, eager, sectors, tilts);
 
-  const double speedup_cold_open = wall_load_v2 / wall_open_mapped;
+  const double speedup_cold_open = wall_load_eager / wall_open_mapped;
   const bool cold_open_ge_5x = speedup_cold_open >= 5.0;
 
-  util::TablePrinter open_table({"path", "wall (s)", "speedup vs v2"});
-  open_table.add_row({"v2 eager load", util::TablePrinter::num(wall_load_v2, 5),
-                      "1.00"});
+  util::TablePrinter open_table({"path", "wall (s)", "speedup vs eager"});
   open_table.add_row(
-      {"v3 eager load", util::TablePrinter::num(wall_load_v3_eager, 5),
-       util::TablePrinter::num(wall_load_v2 / wall_load_v3_eager, 2)});
+      {"eager load", util::TablePrinter::num(wall_load_eager, 5), "1.00"});
   open_table.add_row(
-      {"v3 mapped open", util::TablePrinter::num(wall_open_mapped, 6),
+      {"mapped open", util::TablePrinter::num(wall_open_mapped, 6),
        util::TablePrinter::num(speedup_cold_open, 2)});
   open_table.add_row(
       {"  + touch all", util::TablePrinter::num(wall_first_touch, 5),
        util::TablePrinter::num(
-           wall_load_v2 / (wall_open_mapped + wall_first_touch), 2)});
+           wall_load_eager / (wall_open_mapped + wall_first_touch), 2)});
   open_table.print(std::cout);
   std::cout << "\nresidency at full touch: " << heap_bytes_full / 1024
             << " KiB heap (linear twins) + " << mapped_bytes / 1024
@@ -215,8 +203,7 @@ int main(int argc, char** argv) {
                    speedup_cold_open, 1)
             << "x (gate >= 5x): " << (cold_open_ge_5x ? "PASS" : "FAIL")
             << "\n\n";
-  std::remove(v2_path.c_str());
-  std::remove(v3_path.c_str());
+  std::remove(db_path.c_str());
 
   // ---- Part 2: fleet budget sweep ----
   const auto fleet_markets =
@@ -270,7 +257,7 @@ int main(int argc, char** argv) {
     row.evictions = store.evictions();
     sweep.push_back(row);
   };
-  // The unbounded pass also builds + v3-saves every market database on
+  // The unbounded pass also builds + saves every market database on
   // disk; the budgeted passes then stream from those files. The 1-byte
   // floor probe measures the smallest charge enforcement can reach (the
   // one kept market, everything else stripped and evicted); the real
@@ -325,10 +312,8 @@ int main(int argc, char** argv) {
     summary.set("sectors", static_cast<std::int64_t>(sectors.size()));
     summary.set("tilts", static_cast<std::int64_t>(tilts.size()));
     summary.set("matrices", static_cast<std::int64_t>(matrices));
-    summary.set("file_bytes_v2", static_cast<std::int64_t>(v2_bytes));
-    summary.set("file_bytes_v3", static_cast<std::int64_t>(v3_bytes));
-    summary.set("wall_s_load_v2", wall_load_v2);
-    summary.set("wall_s_load_v3_eager", wall_load_v3_eager);
+    summary.set("file_bytes_v3", static_cast<std::int64_t>(db_bytes));
+    summary.set("wall_s_load_v3_eager", wall_load_eager);
     summary.set("wall_s_open_mapped", wall_open_mapped);
     summary.set("wall_s_first_touch_all", wall_first_touch);
     summary.set("speedup_cold_open", speedup_cold_open);

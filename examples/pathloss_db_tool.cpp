@@ -4,28 +4,22 @@
 // mirrors that workflow on the synthetic substrate:
 //
 //   generate:   build the matrices for a market (all sectors, chosen tilt
-//               range) and save them in the versioned binary format
-//               (--v3 writes the page-aligned mmap format directly),
+//               range) and save them in the page-aligned database format,
 //   info:       print a database file's inventory from its header +
 //               directory alone — no gain bytes are read,
-//   migrate-v3: rewrite a v2 stream file as a v3 page-aligned file (the
-//               zero-copy format MappedPathLossDatabase opens in O(dir)),
-//   verify:     reload a database and check it against a freshly built
-//               one; v3 files verify through the mmap provider, so every
-//               checked matrix also passes its first-touch checksum.
+//   verify:     reopen a database through the mmap provider and check it
+//               against a freshly built one; every checked matrix also
+//               passes its first-touch checksum.
 //
-// generate fans the per-sector builds across --threads workers and
-// save/load run the chunked parallel (de)serialization; the resulting
-// file is byte-identical for any thread count.
+// generate fans the per-sector builds and the save's checksums across
+// --threads workers; the resulting file is byte-identical for any thread
+// count.
 //
-//   $ pathloss_db_tool --mode generate --db market.mpl [--tilts 2] [--v3]
+//   $ pathloss_db_tool --mode generate --db market.mpl [--tilts 2]
 //   $ pathloss_db_tool --mode info --db market.mpl
-//   $ pathloss_db_tool --mode migrate-v3 --db market.mpl [--out market3.mpl]
 //   $ pathloss_db_tool --mode verify --db market.mpl
 #include <cmath>
-#include <filesystem>
 #include <iostream>
-#include <memory>
 #include <vector>
 
 #include "data/experiment.h"
@@ -71,12 +65,9 @@ magus::pathloss::PathLossDatabase build_database(
 int main(int argc, char** argv) {
   using namespace magus;
 
-  util::ArgParser args{"Generate / inspect / migrate / verify path-loss "
-                       "databases"};
-  args.add_flag("mode", "generate", "generate | info | migrate-v3 | verify");
+  util::ArgParser args{"Generate / inspect / verify path-loss databases"};
+  args.add_flag("mode", "generate", "generate | info | verify");
   args.add_flag("db", "market.mpl", "database path");
-  args.add_flag("out", "", "migrate-v3 output path (default: --db in place)");
-  args.add_flag("v3", "false", "generate the v3 page-aligned format");
   args.add_flag("seed", "17", "market generation seed");
   args.add_flag("region-km", "9", "analysis region edge in km");
   args.add_flag("tilts", "1", "tilt settings on each side of 0");
@@ -101,98 +92,41 @@ int main(int argc, char** argv) {
                 << experiment.network().sector_count() << " sectors x "
                 << (2 * tilts + 1) << " tilts...\n";
       const auto db = build_database(experiment, tilts, threads);
-      const bool v3 = args.get_bool("v3");
-      if (v3) {
-        db.save_v3(path, threads);
-      } else {
-        db.save(path, threads);
-      }
+      db.save(path, threads);
       std::cout << "Saved " << db.entry_count() << " matrices to " << path
-                << (v3 ? " (v3 page-aligned)" : " (v2 stream)") << '\n';
+                << '\n';
       return 0;
     }
 
     if (mode == "info") {
       // Header + directory only: an info over a fleet's worth of files
       // never faults in a gain plane.
-      const pathloss::PathLossDatabase::Probe probe =
-          pathloss::PathLossDatabase::probe(path);
-      if (!probe.ok) {
-        std::cerr << path << ": " << probe.error << '\n';
-        return 2;
-      }
+      const pathloss::MappedPathLossDatabase db{path};
       std::cout << "Database " << path << ":\n"
-                << "  format: v" << probe.version
-                << (probe.version == pathloss::format::kVersionMapped
-                        ? " (page-aligned, mmap-openable)"
-                        : " (stream)")
-                << ", " << probe.file_bytes / 1024 << " KiB on disk\n"
-                << "  grid: " << probe.cols << " x " << probe.rows
-                << " cells of " << probe.cell_size_m << " m\n"
-                << "  matrices: " << probe.entry_count << '\n'
-                << "  eager resident estimate: "
-                << probe.resident_bytes_estimate / 1024 << " KiB";
-      if (probe.version == pathloss::format::kVersionMapped) {
-        std::cout << " (mapped open: " << probe.mapped_bytes_estimate / 1024
-                  << " KiB file-backed + " << probe.heap_bytes_estimate / 1024
-                  << " KiB heap at full touch)";
+                << "  format: v" << pathloss::format::kVersion
+                << " (page-aligned), " << db.file_bytes() / 1024
+                << " KiB on disk\n"
+                << "  grid: " << db.grid().cols() << " x " << db.grid().rows()
+                << " cells of " << db.grid().cell_size_m() << " m\n"
+                << "  matrices: " << db.entry_count() << '\n';
+      if (db.using_mmap()) {
+        std::cout << "  gain planes: " << db.mapped_bytes() / 1024
+                  << " KiB file-backed (mmap)\n";
+      } else {
+        std::cout << "  gain planes: read on first touch (no mmap)\n";
       }
-      std::cout << '\n';
-      return 0;
-    }
-
-    if (mode == "migrate-v3") {
-      const pathloss::PathLossDatabase::Probe probe =
-          pathloss::PathLossDatabase::probe(path);
-      if (!probe.ok) {
-        std::cerr << path << ": " << probe.error << '\n';
-        return 2;
-      }
-      if (probe.version == pathloss::format::kVersionMapped) {
-        std::cout << path << " is already v3; nothing to do\n";
-        return 0;
-      }
-      const auto db = pathloss::PathLossDatabase::load(path, threads);
-      std::string out = args.get_string("out");
-      if (out.empty()) out = path;
-      db.save_v3(out, threads);
-      std::cout << "Migrated " << db.entry_count() << " matrices: " << path
-                << " (v" << probe.version << ", " << probe.file_bytes / 1024
-                << " KiB) -> " << out << " (v3, "
-                << std::filesystem::file_size(out) / 1024 << " KiB)\n";
       return 0;
     }
 
     if (mode == "verify") {
-      // v3 files verify through the mmap provider: each checked matrix is
-      // materialized lazily, so it also passes its first-touch checksum.
-      // v2 files verify through the eager loader as before.
-      const pathloss::PathLossDatabase::Probe probe =
-          pathloss::PathLossDatabase::probe(path);
-      if (!probe.ok) {
-        std::cerr << path << ": " << probe.error << '\n';
-        return 2;
-      }
-      std::unique_ptr<pathloss::PathLossDatabase> eager;
-      std::unique_ptr<pathloss::MappedPathLossDatabase> mapped;
-      if (probe.version == pathloss::format::kVersionMapped) {
-        mapped = std::make_unique<pathloss::MappedPathLossDatabase>(path);
-      } else {
-        eager = std::make_unique<pathloss::PathLossDatabase>(
-            pathloss::PathLossDatabase::load(path, threads));
-      }
-      const auto contains = [&](net::SectorId sector) {
-        return mapped ? mapped->contains(sector, 0)
-                      : eager->contains(sector, 0);
-      };
-      pathloss::PathLossProvider& provider =
-          mapped ? static_cast<pathloss::PathLossProvider&>(*mapped)
-                 : static_cast<pathloss::PathLossProvider&>(*eager);
+      // Each checked matrix is materialized lazily through the mmap
+      // provider, so it also passes its first-touch checksum.
+      pathloss::MappedPathLossDatabase provider{path};
       data::Experiment experiment{tool_params(args)};
       long checked = 0;
       long mismatches = 0;
       for (const auto& sector : experiment.network().sectors()) {
-        if (!contains(sector.id)) continue;
+        if (!provider.contains(sector.id, 0)) continue;
         const auto& stored = provider.footprint(sector.id, 0);
         const auto& fresh = experiment.provider().footprint(sector.id, 0);
         if (stored.covered_count() != fresh.covered_count()) {

@@ -66,7 +66,7 @@ echo "== path-loss build pipeline (legacy vs batched, 8 threads) =="
 "$BUILD_DIR/bench/bench_pathloss_build" --threads 8 \
   --json "$out_dir/BENCH_pathloss.json"
 
-echo "== cold-open streaming (v2 eager vs v3 mmap, budget sweep) =="
+echo "== cold-open streaming (eager load vs mmap open, budget sweep) =="
 streaming_db="$scratch/streaming_db"
 "$BUILD_DIR/bench/bench_pathloss_open" --threads 8 --db-dir "$streaming_db" \
   --json "$out_dir/BENCH_streaming.json"
@@ -105,10 +105,10 @@ print(f"path-loss build speedup (parallel vs legacy): "
       f"{p['speedup_parallel_vs_legacy']:.2f}x "
       f"(identical: {p['entries_identical'] and p['files_identical']})")
 s = json.load(open('BENCH_streaming.json'))
-print(f"cold open speedup (v3 mmap vs v2 eager): "
+print(f"cold open speedup (mmap open vs eager load): "
       f"{s['speedup_cold_open']:.0f}x (>=5x: {s['cold_open_speedup_ge_5x']}), "
       f"budget sweep identical: {s['plans_identical_across_budgets']}, "
-      f"under budget: {s['under_budget_all']}")
+      f"under budget: {s['under_budget']}")
 r = json.load(open('BENCH_recovery.json'))
 c = r['campaign']
 print(f"campaign crash/resume: windows {c['windows_completed']}/"

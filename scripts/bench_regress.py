@@ -124,15 +124,13 @@ SPECS = {
         "sectors": "eq",
         "tilts": "eq",
         "matrices": "eq",
-        # File sizes are deterministic for fixed geometry; v3 grows over
-        # v2 only by page alignment + the directory.
-        "file_bytes_v2": "eq",
+        # The file size is deterministic for fixed geometry.
         "file_bytes_v3": "eq",
-        "wall_s_load_v2": "time",
+        "wall_s_load_v3_eager": "time",
         "wall_s_open_mapped": "time",
         "wall_s_first_touch_all": "time",
         # The headline: a mapped open reads header + directory, never the
-        # planes, so it beats the eager v2 load by orders of magnitude.
+        # planes, so it beats the eager load by orders of magnitude.
         # The wide rate band absorbs machine noise; the hard >= 5x floor
         # is the bool below (also the bench's own exit code).
         "speedup_cold_open": "rate",

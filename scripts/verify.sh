@@ -112,12 +112,12 @@ print(f"fleet smoke OK: {f['markets']} markets / {f['sectors_total']} "
       f"plans identical under eviction")
 EOF
 
-echo "==> Streaming smoke: v3 mmap cold open + footprint-granular residency"
-# The zero-copy path's contract, end to end: a v3 mapped open must beat
-# the v2 eager load >= 5x cold, mapped windows must be bit-identical to
-# the eager load (including across a release/re-touch cycle), and a
-# budget-capped fleet sweep must keep the enforced resident peak at or
-# under the budget line while planning to the exact unbounded
+echo "==> Streaming smoke: mmap cold open + footprint-granular residency"
+# The zero-copy path's contract, end to end: a mapped open must beat the
+# eager load of the same file >= 5x cold, mapped windows must be
+# bit-identical to the eager load (including across a release/re-touch
+# cycle), and a budget-capped fleet sweep must keep the enforced resident
+# peak at or under the budget line while planning to the exact unbounded
 # fingerprints. The second run pins MAGUS_NO_MMAP=1 — the positioned-read
 # fallback must deliver the same invariants and the same fleet
 # fingerprint, so the portability lane never drifts from the mmap lane.
@@ -138,7 +138,7 @@ assert s["using_mmap"], "mmap leg fell back to positioned reads"
 assert not n["using_mmap"], "MAGUS_NO_MMAP=1 leg still mmap'd"
 for name, run in (("mmap", s), ("no-mmap", n)):
     assert run["cold_open_speedup_ge_5x"], (
-        f"{name}: cold open only {run['speedup_cold_open']:.1f}x vs v2 load")
+        f"{name}: cold open only {run['speedup_cold_open']:.1f}x vs eager load")
     assert run["mapped_equals_eager"], f"{name}: windows differ from eager"
     assert run["identical_after_release"], (
         f"{name}: release/re-touch changed a window")

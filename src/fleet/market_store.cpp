@@ -51,10 +51,9 @@ MarketHandle::MarketHandle(const MarketSpec& spec, const StoreOptions& options,
       market_(data::generate_market(spec.params)),
       db_path_(std::move(db_path)) {
   // A usable database must sit on this market's grid and cover every
-  // (sector x tilt) the store promises. Checked against whichever
-  // provider kind opened the file.
+  // (sector x tilt) the store promises.
   const geo::GridMap expected{market_.region, market_.params.cell_size_m};
-  const auto is_complete = [&](const auto& db) {
+  const auto is_complete = [&](const pathloss::MappedPathLossDatabase& db) {
     if (db.grid().cols() != expected.cols() ||
         db.grid().rows() != expected.rows() ||
         db.grid().cell_size_m() != expected.cell_size_m()) {
@@ -67,82 +66,35 @@ MarketHandle::MarketHandle(const MarketSpec& spec, const StoreOptions& options,
     }
     return true;
   };
-  // Best-effort streaming open of a v3 file; leaves mapped_db_ unset (and
-  // load_error_ explaining why) when the file is unusable.
-  const auto try_open_mapped = [&] {
+  // Streaming open: read the header + directory, map the planes,
+  // materialize nothing. Returns why the file is unusable, or "" once
+  // mapped_db_ is set.
+  const auto open_mapped = [&]() -> std::string {
     try {
-      auto mapped = std::make_unique<pathloss::MappedPathLossDatabase>(
-          db_path_);
-      if (is_complete(*mapped)) {
-        mapped_db_ = std::move(mapped);
-      } else {
-        load_error_ = "database incomplete for this market";
-      }
+      auto mapped =
+          std::make_unique<pathloss::MappedPathLossDatabase>(db_path_);
+      if (!is_complete(*mapped)) return "database incomplete for this market";
+      mapped_db_ = std::move(mapped);
+      return {};
     } catch (const std::runtime_error& e) {
-      load_error_ = e.what();
+      return e.what();
     }
   };
 
-  const auto probe = pathloss::PathLossDatabase::probe(db_path_);
-  if (probe.ok && probe.version == pathloss::format::kVersionMapped &&
-      options.prefer_mapped) {
-    // Fast path, streaming flavor: open the directory, map the planes,
-    // materialize nothing.
-    try_open_mapped();
-  } else if (probe.ok) {
-    // Fast path, eager flavor: a structurally sound file that covers this
-    // market loads without ever touching terrain or the propagation
-    // model. A v2 file under prefer_mapped is migrated in place
-    // (best-effort) and reopened through the mapping so every later
-    // acquire of this market streams.
-    try {
-      auto db = pathloss::PathLossDatabase::load(db_path_, options.threads);
-      if (is_complete(db)) {
-        if (options.prefer_mapped) {
-          try {
-            db.save_v3(db_path_, options.threads);
-            try_open_mapped();
-            if (mapped_db_ != nullptr) {
-              migrated_ = true;
-              obs::MetricsRegistry::global()
-                  .counter("pathloss.db.migrations")
-                  .add(1);
-            }
-          } catch (const std::runtime_error&) {
-            // Unwritable db_dir: keep the eager database, stay on v2.
-          }
-        }
-        if (mapped_db_ == nullptr) {
-          db_ = std::make_unique<pathloss::PathLossDatabase>(std::move(db));
-        }
-      } else {
-        load_error_ = "database incomplete for this market";
-      }
-    } catch (const std::runtime_error& e) {
-      load_error_ = e.what();
-    }
-  } else {
-    load_error_ = probe.error;
-  }
-
-  if (mapped_db_ == nullptr && db_ == nullptr) {
-    // Slow path: materialize the full stack once; open_footprint_db
-    // rebuilds every (sector x tilt) matrix and best-effort re-saves (as
-    // v3), so the next acquire takes the fast path. When the re-save
-    // landed and streaming is wanted, reopen through the mapping.
+  load_error_ = open_mapped();
+  if (mapped_db_ == nullptr) {
+    // Rebuild rung: materialize the full stack once; open_footprint_db
+    // rebuilds every (sector x tilt) matrix and best-effort re-saves, so
+    // the next acquire maps the file. When the re-save landed, reopen
+    // through the mapping; otherwise (unwritable db_dir) keep the eager
+    // database.
     data::Experiment experiment{spec_.params, options.experiment};
     pathloss::PathLossDatabase::LoadReport report;
     db_ = std::make_unique<pathloss::PathLossDatabase>(
         experiment.open_footprint_db(db_path_, options.tilts, options.threads,
                                      &report));
     rebuilt_ = true;
-    if (load_error_.empty()) load_error_ = report.error;
-    if (options.prefer_mapped && report.resaved) {
-      const std::string rebuild_error = load_error_;
-      try_open_mapped();
-      load_error_ = rebuild_error;  // keep the *rebuild* cause
-      if (mapped_db_ != nullptr) db_.reset();
-    }
+    if (report.resaved && open_mapped().empty()) db_.reset();
   }
   model_ = std::make_unique<model::AnalysisModel>(
       &market_.network, &provider(), options.experiment.model);

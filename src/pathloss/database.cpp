@@ -1,8 +1,11 @@
 #include "pathloss/database.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <stdexcept>
@@ -14,6 +17,14 @@
 #include "util/checksum.h"
 #include "util/thread_pool.h"
 
+#if defined(__unix__) || defined(__APPLE__)
+#define MAGUS_HAS_FSYNC 1
+#include <fcntl.h>
+#include <unistd.h>
+#else
+#define MAGUS_HAS_FSYNC 0
+#endif
+
 namespace magus::pathloss {
 
 namespace {
@@ -24,7 +35,6 @@ struct DbMetrics {
   obs::Counter& load_failures;
   obs::Counter& rebuilds;
   obs::Counter& resaves;
-  obs::Counter& migrations;
 
   [[nodiscard]] static DbMetrics& get() {
     static auto& registry = obs::MetricsRegistry::global();
@@ -34,7 +44,6 @@ struct DbMetrics {
         registry.counter("pathloss.db.load_failures"),
         registry.counter("pathloss.db.rebuilds"),
         registry.counter("pathloss.db.resaves"),
-        registry.counter("pathloss.db.migrations"),
     };
     return metrics;
   }
@@ -56,9 +65,6 @@ struct CacheMetrics {
   }
 };
 
-constexpr std::uint64_t kMagic = format::kMagic;
-constexpr std::uint32_t kVersion = format::kVersionEager;  // save() default
-
 /// The pool's wake/handoff overhead beats the per-entry checksum work at
 /// small entry counts — BENCH_pathloss.json's 495-entry DB parallel-loaded
 /// ~18% slower than serial — so load() stays serial below this many
@@ -72,48 +78,11 @@ constexpr std::size_t kSerialLoadCutoff =
   return entries < kSerialLoadCutoff ? 1 : threads;
 }
 
-/// The file's format version, or 0 when unreadable / not a magus db.
-[[nodiscard]] std::uint32_t sniff_version(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::uint64_t magic = 0;
-  std::uint32_t version = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  if (!in || magic != format::kMagic) return 0;
-  return version;
-}
-
-template <typename T>
-void write_pod(std::ofstream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
 template <typename T>
 void append_pod(std::vector<char>& out, const T& value) {
   const auto* p = reinterpret_cast<const char*>(&value);
   out.insert(out.end(), p, p + sizeof(T));
 }
-
-/// In-memory cursor over a fully read file. Mirrors the stream read_pod's
-/// error contract so the parallel loader's messages match the serial ones.
-struct ByteReader {
-  const char* data = nullptr;
-  std::size_t size = 0;
-  std::size_t off = 0;
-
-  [[nodiscard]] std::size_t remaining() const { return size - off; }
-
-  template <typename T>
-  void read(T& value, const std::string& context) {
-    if (remaining() < sizeof(T)) {
-      throw std::runtime_error("PathLossDatabase: " + context);
-    }
-    std::memcpy(&value, data + off, sizeof(T));
-    off += sizeof(T);
-  }
-};
-
-using util::fnv1a;
 
 /// Checksum of one database entry: geometry ints then raw gain bytes, so a
 /// flipped bit anywhere in the entry is caught.
@@ -126,6 +95,77 @@ using util::fnv1a;
       footprint.window_cols(), footprint.window_rows(), window.data(),
       window.size() * sizeof(float));
 }
+
+/// save()'s crash-consistent write. Bytes go to a fresh temp file next to
+/// the target; commit() fsyncs it, renames it over the target and fsyncs
+/// the directory. The target is therefore only ever the complete old file
+/// or the complete new one, and a reader that has the old file mapped
+/// keeps the old inode. Destroying an uncommitted file removes the temp.
+class ReplacingFile {
+ public:
+  explicit ReplacingFile(std::string path) : path_(std::move(path)) {
+    static std::atomic<std::uint64_t> serial{0};
+    std::string process;
+#if MAGUS_HAS_FSYNC
+    process = std::to_string(::getpid()) + ".";
+#endif
+    temp_path_ =
+        path_ + ".tmp." + process + std::to_string(serial.fetch_add(1));
+    file_ = std::fopen(temp_path_.c_str(), "wbx");  // never clobbers
+    if (file_ == nullptr) {
+      throw std::runtime_error("PathLossDatabase: cannot create " +
+                               temp_path_);
+    }
+  }
+  ReplacingFile(const ReplacingFile&) = delete;
+  ReplacingFile& operator=(const ReplacingFile&) = delete;
+
+  ~ReplacingFile() {
+    if (file_ != nullptr) std::fclose(file_);
+    if (!committed_) std::remove(temp_path_.c_str());
+  }
+
+  void write(const void* data, std::size_t bytes) {
+    if (std::fwrite(data, 1, bytes, file_) != bytes) fail();
+  }
+
+  void commit() {
+    if (std::fflush(file_) != 0) fail();
+#if MAGUS_HAS_FSYNC
+    if (::fsync(::fileno(file_)) != 0) fail();
+#endif
+    const int closed = std::fclose(file_);
+    file_ = nullptr;
+    if (closed != 0) fail();
+    std::error_code error;
+    std::filesystem::rename(temp_path_, path_, error);
+    if (error) fail();
+    committed_ = true;
+#if MAGUS_HAS_FSYNC
+    // Makes the rename itself durable. Best-effort: the new file is
+    // already in place, and some filesystems refuse directory fsync.
+    const std::string dir =
+        std::filesystem::path{path_}.parent_path().string();
+    const int fd = ::open(dir.empty() ? "." : dir.c_str(),
+                          O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+    if (fd >= 0) {
+      (void)::fsync(fd);
+      ::close(fd);
+    }
+#endif
+  }
+
+ private:
+  [[noreturn]] void fail() const {
+    throw std::runtime_error("PathLossDatabase: write failed for " + path_);
+  }
+
+  std::string path_;
+  std::string temp_path_;
+  std::FILE* file_ = nullptr;
+  bool committed_ = false;
+};
+
 }  // namespace
 
 PathLossDatabase::PathLossDatabase(geo::GridMap grid)
@@ -165,190 +205,9 @@ std::size_t PathLossDatabase::resident_bytes() const {
   return bytes;
 }
 
-PathLossDatabase::Probe PathLossDatabase::probe(const std::string& path) {
-  Probe result;
-  try {
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    if (!in) {
-      throw std::runtime_error("PathLossDatabase: cannot open " + path);
-    }
-    const std::streamoff file_size = in.tellg();
-    result.file_bytes = file_size > 0 ? static_cast<std::size_t>(file_size) : 0;
-    in.seekg(0, std::ios::beg);
-
-    const auto read_pod = [&](auto& value, const std::string& context) {
-      in.read(reinterpret_cast<char*>(&value), sizeof(value));
-      if (!in) throw std::runtime_error("PathLossDatabase: " + context);
-    };
-    std::uint64_t magic = 0;
-    std::uint32_t version = 0;
-    read_pod(magic, "truncated header in " + path);
-    read_pod(version, "truncated header in " + path);
-    if (magic != kMagic) {
-      throw std::runtime_error("PathLossDatabase: bad magic in " + path);
-    }
-    if (version != kVersion && version != format::kVersionMapped) {
-      throw std::runtime_error("PathLossDatabase: unsupported version " +
-                               std::to_string(version) + " (expected " +
-                               std::to_string(kVersion) + " or " +
-                               std::to_string(format::kVersionMapped) +
-                               ") in " + path);
-    }
-    if (version == format::kVersionMapped) {
-      // v3: the header + directory alone size the file — no payload scan,
-      // the same O(directory) work a mapped open does.
-      const auto fsize = static_cast<std::uint64_t>(result.file_bytes);
-      std::vector<char> front(
-          static_cast<std::size_t>(std::min<std::uint64_t>(
-              fsize, format::kHeaderBytesV3)));
-      in.seekg(0, std::ios::beg);
-      in.read(front.data(), static_cast<std::streamsize>(front.size()));
-      if (!in) {
-        throw std::runtime_error("PathLossDatabase: read failed in " + path);
-      }
-      if (front.size() >= format::kHeaderBytesV3) {
-        // Peek the entry count to size the directory read; a nonsensical
-        // count is left for parse_v3 to reject as a truncated directory.
-        std::uint64_t count = 0;
-        std::memcpy(&count, front.data() + 44, sizeof(count));
-        if (count <= (fsize - front.size()) / format::kDirEntryBytes) {
-          const std::size_t dir_bytes =
-              static_cast<std::size_t>(count) * format::kDirEntryBytes;
-          const std::size_t head = front.size();
-          front.resize(head + dir_bytes);
-          in.read(front.data() + head,
-                  static_cast<std::streamsize>(dir_bytes));
-          if (!in) {
-            throw std::runtime_error("PathLossDatabase: read failed in " +
-                                     path);
-          }
-        }
-      }
-      const format::V3Directory dir =
-          format::parse_v3(front.data(), front.size(), fsize, path);
-      result.version = format::kVersionMapped;
-      result.cols = dir.cols;
-      result.rows = dir.rows;
-      result.cell_size_m = dir.cell_size_m;
-      result.entry_count = dir.entry_count;
-      for (const format::V3Entry& entry : dir.entries) {
-        result.mapped_bytes_estimate += entry.window_bytes;  // dB planes
-        result.heap_bytes_estimate += entry.window_bytes;    // linear twins
-      }
-      result.resident_bytes_estimate =
-          result.mapped_bytes_estimate + result.heap_bytes_estimate;
-      result.ok = true;
-      return result;
-    }
-    result.version = kVersion;
-    double min_x = 0.0;
-    double min_y = 0.0;
-    read_pod(min_x, "truncated header in " + path);
-    read_pod(min_y, "truncated header in " + path);
-    read_pod(result.cell_size_m, "truncated header in " + path);
-    read_pod(result.cols, "truncated header in " + path);
-    read_pod(result.rows, "truncated header in " + path);
-    if (!(result.cell_size_m > 0.0) || result.cols <= 0 || result.rows <= 0) {
-      throw std::runtime_error("PathLossDatabase: invalid grid geometry in " +
-                               path);
-    }
-    read_pod(result.entry_count, "truncated header in " + path);
-
-    // Structural scan only: entry geometry is read, gain bytes are seeked
-    // over. Mirrors load()'s front-to-back validation order and messages.
-    for (std::uint64_t e = 0; e < result.entry_count; ++e) {
-      const std::string entry_context = "entry " + std::to_string(e) + " of " +
-                                        std::to_string(result.entry_count);
-      std::int32_t geometry[6] = {};  // sector, tilt, col0, row0, wcols, wrows
-      std::uint64_t checksum = 0;
-      for (std::int32_t& field : geometry) {
-        read_pod(field, "truncated " + entry_context + " in " + path);
-      }
-      read_pod(checksum, "truncated " + entry_context + " in " + path);
-      const std::int32_t window_cols = geometry[4];
-      const std::int32_t window_rows = geometry[5];
-      if (window_cols < 0 || window_rows < 0 || window_cols > result.cols ||
-          window_rows > result.rows) {
-        throw std::runtime_error("PathLossDatabase: oversized window (" +
-                                 entry_context + ") in " + path);
-      }
-      const std::size_t window_bytes = static_cast<std::size_t>(window_cols) *
-                                       static_cast<std::size_t>(window_rows) *
-                                       sizeof(float);
-      in.seekg(static_cast<std::streamoff>(window_bytes), std::ios::cur);
-      if (!in || static_cast<std::streamoff>(in.tellg()) > file_size) {
-        throw std::runtime_error("PathLossDatabase: truncated " +
-                                 entry_context + " in " + path);
-      }
-      // Window + the linear twin SectorFootprint precomputes on load.
-      result.resident_bytes_estimate += 2 * window_bytes;
-    }
-    if (static_cast<std::streamoff>(in.tellg()) != file_size) {
-      throw std::runtime_error("PathLossDatabase: trailing bytes after " +
-                               std::to_string(result.entry_count) +
-                               " entries in " + path);
-    }
-    // An eager v2 load copies every window into the heap alongside its
-    // linear twin; nothing is served from a mapping.
-    result.heap_bytes_estimate = result.resident_bytes_estimate;
-    result.ok = true;
-  } catch (const std::runtime_error& error) {
-    result.ok = false;
-    result.error = error.what();
-  }
-  return result;
-}
-
 void PathLossDatabase::save(const std::string& path,
                             std::size_t threads) const {
   MAGUS_TRACE_SPAN("pathloss.db_save", "io.db");
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("PathLossDatabase: cannot open " + path);
-  write_pod(out, kMagic);
-  write_pod(out, kVersion);
-  write_pod(out, grid_.area().min.x_m);
-  write_pod(out, grid_.area().min.y_m);
-  write_pod(out, grid_.cell_size_m());
-  write_pod(out, grid_.cols());
-  write_pod(out, grid_.rows());
-  write_pod(out, static_cast<std::uint64_t>(entries_.size()));
-
-  // Serialize entries into independent per-entry buffers (the checksum is
-  // the expensive part), then write the buffers in key order — the file's
-  // bytes are identical for any thread count.
-  std::vector<const std::pair<const Key, SectorFootprint>*> items;
-  items.reserve(entries_.size());
-  for (const auto& item : entries_) items.push_back(&item);
-  std::vector<std::vector<char>> buffers(items.size());
-  util::ThreadPool pool{threads};
-  pool.run(items.size(), [&](std::size_t /*worker*/, std::size_t i) {
-    const auto& [key, footprint] = *items[i];
-    const auto window = footprint.window();
-    std::vector<char>& buf = buffers[i];
-    buf.reserve(6 * sizeof(std::int32_t) + sizeof(std::uint64_t) +
-                window.size() * sizeof(float));
-    append_pod(buf, key.first);
-    append_pod(buf, key.second);
-    append_pod(buf, footprint.col0());
-    append_pod(buf, footprint.row0());
-    append_pod(buf, footprint.window_cols());
-    append_pod(buf, footprint.window_rows());
-    append_pod(buf, entry_checksum(key.first, key.second, footprint));
-    const auto* p = reinterpret_cast<const char*>(window.data());
-    buf.insert(buf.end(), p, p + window.size() * sizeof(float));
-  });
-  for (const auto& buf : buffers) {
-    out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-  }
-  if (!out) throw std::runtime_error("PathLossDatabase: write failed");
-}
-
-void PathLossDatabase::save_v3(const std::string& path,
-                               std::size_t threads) const {
-  MAGUS_TRACE_SPAN("pathloss.db_save", "io.db");
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("PathLossDatabase: cannot open " + path);
-
   std::vector<const std::pair<const Key, SectorFootprint>*> items;
   items.reserve(entries_.size());
   for (const auto& item : entries_) items.push_back(&item);
@@ -358,7 +217,7 @@ void PathLossDatabase::save_v3(const std::string& path,
   // and offset 0). Pure arithmetic, so the layout — like the checksums
   // below — is identical for any thread count.
   const std::uint64_t dir_end =
-      format::kHeaderBytesV3 + items.size() * format::kDirEntryBytes;
+      format::kHeaderBytes + items.size() * format::kDirEntryBytes;
   std::vector<std::uint64_t> offsets(items.size(), 0);
   std::uint64_t payload_end = dir_end;
   for (std::size_t i = 0; i < items.size(); ++i) {
@@ -377,51 +236,47 @@ void PathLossDatabase::save_v3(const std::string& path,
     checksums[i] = entry_checksum(key.first, key.second, footprint);
   });
 
-  std::vector<char> directory;
-  directory.reserve(items.size() * format::kDirEntryBytes);
+  // Header + directory, then the checksum sealing both.
+  std::vector<char> front;
+  front.reserve(dir_end);
+  append_pod(front, format::kMagic);
+  append_pod(front, format::kVersion);
+  append_pod(front, grid_.area().min.x_m);
+  append_pod(front, grid_.area().min.y_m);
+  append_pod(front, grid_.cell_size_m());
+  append_pod(front, grid_.cols());
+  append_pod(front, grid_.rows());
+  append_pod(front, static_cast<std::uint64_t>(items.size()));
+  append_pod(front, std::uint64_t{0});  // checksum, patched below
+  append_pod(front, payload_end);
   for (std::size_t i = 0; i < items.size(); ++i) {
     const auto& [key, footprint] = *items[i];
-    append_pod(directory, key.first);
-    append_pod(directory, key.second);
-    append_pod(directory, footprint.col0());
-    append_pod(directory, footprint.row0());
-    append_pod(directory, footprint.window_cols());
-    append_pod(directory, footprint.window_rows());
-    append_pod(directory, offsets[i]);
-    append_pod(directory, checksums[i]);
+    append_pod(front, key.first);
+    append_pod(front, key.second);
+    append_pod(front, footprint.col0());
+    append_pod(front, footprint.row0());
+    append_pod(front, footprint.window_cols());
+    append_pod(front, footprint.window_rows());
+    append_pod(front, offsets[i]);
+    append_pod(front, checksums[i]);
   }
-  const std::uint64_t directory_checksum =
-      fnv1a(directory.data(), directory.size());
+  const std::uint64_t checksum =
+      format::front_checksum(front.data(), items.size());
+  std::memcpy(front.data() + format::kChecksumOffset, &checksum,
+              sizeof(checksum));
 
-  write_pod(out, kMagic);
-  write_pod(out, format::kVersionMapped);
-  write_pod(out, grid_.area().min.x_m);
-  write_pod(out, grid_.area().min.y_m);
-  write_pod(out, grid_.cell_size_m());
-  write_pod(out, grid_.cols());
-  write_pod(out, grid_.rows());
-  write_pod(out, static_cast<std::uint64_t>(items.size()));
-  write_pod(out, directory_checksum);
-  write_pod(out, payload_end);
-  out.write(directory.data(), static_cast<std::streamsize>(directory.size()));
-
+  ReplacingFile out{path};
+  out.write(front.data(), front.size());
   const std::vector<char> zeros(format::kPageBytes, 0);
   std::uint64_t written = dir_end;
   for (std::size_t i = 0; i < items.size(); ++i) {
     const auto window = items[i]->second.window();
     if (window.empty()) continue;
-    std::uint64_t pad = offsets[i] - written;
-    while (pad > 0) {
-      const auto chunk = static_cast<std::streamsize>(
-          std::min<std::uint64_t>(pad, zeros.size()));
-      out.write(zeros.data(), chunk);
-      pad -= static_cast<std::uint64_t>(chunk);
-    }
-    out.write(reinterpret_cast<const char*>(window.data()),
-              static_cast<std::streamsize>(window.size() * sizeof(float)));
+    out.write(zeros.data(), offsets[i] - written);  // < one page
+    out.write(window.data(), window.size() * sizeof(float));
     written = offsets[i] + window.size() * sizeof(float);
   }
-  if (!out) throw std::runtime_error("PathLossDatabase: write failed");
+  out.commit();
 }
 
 PathLossDatabase PathLossDatabase::load(const std::string& path,
@@ -444,189 +299,54 @@ PathLossDatabase PathLossDatabase::load(const std::string& path,
       throw std::runtime_error("PathLossDatabase: read failed in " + path);
     }
   }
-  ByteReader reader{bytes.data(), bytes.size()};
 
-  std::uint64_t magic = 0;
-  std::uint32_t version = 0;
-  reader.read(magic, "truncated header in " + path);
-  reader.read(version, "truncated header in " + path);
-  if (magic != kMagic) {
-    throw std::runtime_error("PathLossDatabase: bad magic in " + path);
-  }
-  if (version != kVersion && version != format::kVersionMapped) {
-    throw std::runtime_error("PathLossDatabase: unsupported version " +
-                             std::to_string(version) + " (expected " +
-                             std::to_string(kVersion) + " or " +
-                             std::to_string(format::kVersionMapped) +
-                             ") in " + path);
-  }
-  if (version == format::kVersionMapped) {
-    // Eager v3 load: directory-driven instead of a streaming scan, same
-    // first-touch semantics as the mapped provider (raw-byte checksum,
-    // then construction), same fully-owned result as a v2 load.
-    const format::V3Directory dir =
-        format::parse_v3(bytes.data(), bytes.size(), bytes.size(), path);
-    const geo::Rect v3_area{
-        {dir.min_x, dir.min_y},
-        {dir.min_x + dir.cols * dir.cell_size_m,
-         dir.min_y + dir.rows * dir.cell_size_m}};
-    PathLossDatabase db{geo::GridMap{v3_area, dir.cell_size_m}};
-    const std::size_t n = dir.entries.size();
-    std::vector<SectorFootprint> built(n);
-    std::vector<std::string> entry_errors(n);
-    util::ThreadPool pool{load_threads(n, threads)};
-    pool.run(n, [&](std::size_t /*worker*/, std::size_t i) {
-      const format::V3Entry& e = dir.entries[i];
-      const std::string entry_context =
-          "entry " + std::to_string(i) + " of " + std::to_string(n);
-      if (format::entry_checksum_raw(e.sector, e.tilt, e.col0, e.row0,
-                                     e.window_cols, e.window_rows,
-                                     bytes.data() + e.data_offset,
-                                     e.window_bytes) != e.checksum) {
-        entry_errors[i] = "PathLossDatabase: checksum mismatch (" +
-                          entry_context + ", sector " +
-                          std::to_string(e.sector) + " tilt " +
-                          std::to_string(e.tilt) + ") in " + path;
-        return;
-      }
-      std::vector<float> window(e.window_bytes / sizeof(float));
-      std::memcpy(window.data(), bytes.data() + e.data_offset,
-                  e.window_bytes);
-      try {
-        built[i] = SectorFootprint{dir.cols,      dir.rows,      e.col0,
-                                   e.row0,        e.window_cols, e.window_rows,
-                                   std::move(window)};
-      } catch (const std::invalid_argument&) {
-        entry_errors[i] = "PathLossDatabase: " + entry_context +
-                          " does not fit the grid in " + path;
-      }
-    });
-    for (const std::string& error : entry_errors) {
-      if (!error.empty()) throw std::runtime_error(error);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      db.entries_.insert_or_assign(
-          Key{dir.entries[i].sector, dir.entries[i].tilt},
-          std::move(built[i]));
-    }
-    return db;
-  }
-  double min_x = 0.0;
-  double min_y = 0.0;
-  double cell = 0.0;
-  std::int32_t cols = 0;
-  std::int32_t rows = 0;
-  reader.read(min_x, "truncated header in " + path);
-  reader.read(min_y, "truncated header in " + path);
-  reader.read(cell, "truncated header in " + path);
-  reader.read(cols, "truncated header in " + path);
-  reader.read(rows, "truncated header in " + path);
-  if (!(cell > 0.0) || cols <= 0 || rows <= 0) {
-    throw std::runtime_error("PathLossDatabase: invalid grid geometry in " +
-                             path);
-  }
-  const geo::Rect area{{min_x, min_y},
-                       {min_x + cols * cell, min_y + rows * cell}};
-  PathLossDatabase db{geo::GridMap{area, cell}};
-  std::uint64_t entry_count = 0;
-  reader.read(entry_count, "truncated header in " + path);
-
-  // Phase 1, sequential: structural scan. Geometry bounds and truncation
-  // are position-dependent (a bad size field shifts every later entry), so
-  // they are validated front to back, with the same per-entry check order
-  // and messages as the historical streaming loader: oversized window
-  // before allocation, then truncation.
-  struct PendingEntry {
-    std::int32_t sector = 0;
-    std::int32_t tilt = 0;
-    std::int32_t col0 = 0;
-    std::int32_t row0 = 0;
-    std::int32_t window_cols = 0;
-    std::int32_t window_rows = 0;
-    std::uint64_t checksum = 0;
-    std::size_t data_off = 0;  ///< window bytes within the file buffer
-  };
-  std::vector<PendingEntry> pending;
-  pending.reserve(entry_count < 1024 ? static_cast<std::size_t>(entry_count)
-                                     : 1024);
-  for (std::uint64_t e = 0; e < entry_count; ++e) {
+  // Directory-driven, with the mapped provider's first-touch semantics
+  // (raw-byte checksum, then construction) applied to every entry up
+  // front.
+  const format::Directory dir =
+      format::parse_directory(bytes.data(), bytes.size(), bytes.size(), path);
+  const geo::Rect area{{dir.min_x, dir.min_y},
+                       {dir.min_x + dir.cols * dir.cell_size_m,
+                        dir.min_y + dir.rows * dir.cell_size_m}};
+  PathLossDatabase db{geo::GridMap{area, dir.cell_size_m}};
+  // Per-entry checks are independent thanks to the per-entry checksums.
+  // Failures are captured per entry and the lowest-index one is reported,
+  // matching a serial front-to-back scan for any thread count.
+  const std::size_t n = dir.entries.size();
+  std::vector<SectorFootprint> built(n);
+  std::vector<std::string> entry_errors(n);
+  util::ThreadPool pool{load_threads(n, threads)};
+  pool.run(n, [&](std::size_t /*worker*/, std::size_t i) {
+    const format::DirEntry& e = dir.entries[i];
     const std::string entry_context =
-        "entry " + std::to_string(e) + " of " + std::to_string(entry_count);
-    PendingEntry p;
-    reader.read(p.sector, "truncated " + entry_context + " in " + path);
-    reader.read(p.tilt, "truncated " + entry_context + " in " + path);
-    reader.read(p.col0, "truncated " + entry_context + " in " + path);
-    reader.read(p.row0, "truncated " + entry_context + " in " + path);
-    reader.read(p.window_cols, "truncated " + entry_context + " in " + path);
-    reader.read(p.window_rows, "truncated " + entry_context + " in " + path);
-    reader.read(p.checksum, "truncated " + entry_context + " in " + path);
-    // Bound the window before allocating: a corrupted size field must not
-    // turn into a multi-gigabyte allocation or a silent overlap.
-    if (p.window_cols < 0 || p.window_rows < 0 || p.window_cols > cols ||
-        p.window_rows > rows) {
-      throw std::runtime_error("PathLossDatabase: oversized window (" +
-                               entry_context + ") in " + path);
+        "entry " + std::to_string(i) + " of " + std::to_string(n);
+    if (format::entry_checksum_raw(e.sector, e.tilt, e.col0, e.row0,
+                                   e.window_cols, e.window_rows,
+                                   bytes.data() + e.data_offset,
+                                   e.window_bytes) != e.checksum) {
+      entry_errors[i] = "PathLossDatabase: checksum mismatch (" +
+                        entry_context + ", sector " +
+                        std::to_string(e.sector) + " tilt " +
+                        std::to_string(e.tilt) + ") in " + path;
+      return;
     }
-    const std::size_t window_bytes = static_cast<std::size_t>(p.window_cols) *
-                                     static_cast<std::size_t>(p.window_rows) *
-                                     sizeof(float);
-    if (reader.remaining() < window_bytes) {
-      throw std::runtime_error("PathLossDatabase: truncated " + entry_context +
-                               " in " + path);
-    }
-    p.data_off = reader.off;
-    reader.off += window_bytes;
-    pending.push_back(p);
-  }
-  // The header promised exactly entry_count entries; anything further is
-  // corruption (e.g. a concatenated or doubly-written file).
-  if (reader.remaining() != 0) {
-    throw std::runtime_error("PathLossDatabase: trailing bytes after " +
-                             std::to_string(entry_count) + " entries in " +
-                             path);
-  }
-
-  // Phase 2, parallel: per-entry fit check, checksum validation and
-  // footprint construction (which precomputes the linear-gain twin) are
-  // independent thanks to the per-entry checksums. Failures are captured
-  // per entry and the lowest-index one is reported, matching the serial
-  // front-to-back scan for any thread count.
-  std::vector<SectorFootprint> built(pending.size());
-  std::vector<std::string> entry_errors(pending.size());
-  util::ThreadPool pool{load_threads(pending.size(), threads)};
-  pool.run(pending.size(), [&](std::size_t /*worker*/, std::size_t i) {
-    const PendingEntry& p = pending[i];
-    const std::string entry_context =
-        "entry " + std::to_string(i) + " of " + std::to_string(entry_count);
-    std::vector<float> window(static_cast<std::size_t>(p.window_cols) *
-                              static_cast<std::size_t>(p.window_rows));
-    std::memcpy(window.data(), bytes.data() + p.data_off,
-                window.size() * sizeof(float));
-    SectorFootprint footprint;
+    std::vector<float> window(e.window_bytes / sizeof(float));
+    std::memcpy(window.data(), bytes.data() + e.data_offset, e.window_bytes);
     try {
-      footprint = SectorFootprint{cols,          rows,          p.col0,
-                                  p.row0,        p.window_cols, p.window_rows,
-                                  std::move(window)};
+      built[i] = SectorFootprint{dir.cols,      dir.rows,      e.col0,
+                                 e.row0,        e.window_cols, e.window_rows,
+                                 std::move(window)};
     } catch (const std::invalid_argument&) {
       entry_errors[i] = "PathLossDatabase: " + entry_context +
                         " does not fit the grid in " + path;
-      return;
     }
-    if (entry_checksum(p.sector, p.tilt, footprint) != p.checksum) {
-      entry_errors[i] = "PathLossDatabase: checksum mismatch (" +
-                        entry_context + ", sector " +
-                        std::to_string(p.sector) + " tilt " +
-                        std::to_string(p.tilt) + ") in " + path;
-      return;
-    }
-    built[i] = std::move(footprint);
   });
   for (const std::string& error : entry_errors) {
     if (!error.empty()) throw std::runtime_error(error);
   }
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    db.entries_.insert_or_assign(Key{pending[i].sector, pending[i].tilt},
-                                 std::move(built[i]));
+  for (std::size_t i = 0; i < n; ++i) {
+    db.entries_.insert_or_assign(
+        Key{dir.entries[i].sector, dir.entries[i].tilt}, std::move(built[i]));
   }
   return db;
 }
@@ -655,17 +375,6 @@ PathLossDatabase PathLossDatabase::load_or_rebuild(
           std::to_string(expected.rows()) + " @ " +
           std::to_string(expected.cell_size_m()) + " m) in " + path);
     }
-    if (sniff_version(path) == kVersion) {
-      // v2 read compat + forward migration: re-save the pristine file in
-      // place as v3 so the next open can be mapped. Best-effort — a
-      // read-only location simply stays v2.
-      try {
-        db.save_v3(path, threads);
-        out.migrated = true;
-        DbMetrics::get().migrations.add(1);
-      } catch (const std::runtime_error&) {
-      }
-    }
     return db;
   } catch (const std::runtime_error& error) {
     out.rebuilt = true;
@@ -691,7 +400,7 @@ PathLossDatabase PathLossDatabase::load_or_rebuild(
               *rebuilt[i]);
   }
   try {
-    db.save_v3(path, threads);  // repaired files are written mappable
+    db.save(path, threads);
     out.resaved = true;
     DbMetrics::get().resaves.add(1);
   } catch (const std::runtime_error&) {

@@ -8,7 +8,7 @@ namespace magus::pathloss::format {
 
 namespace {
 
-/// Bounded cursor matching the loader's read_pod error contract.
+/// Bounded cursor: a short read throws "PathLossDatabase: <context>".
 struct Cursor {
   const char* data;
   std::size_t size;
@@ -26,10 +26,10 @@ struct Cursor {
 
 }  // namespace
 
-V3Directory parse_v3(const char* data, std::size_t available,
-                     std::uint64_t file_size, const std::string& path) {
+Directory parse_directory(const char* data, std::size_t available,
+                          std::uint64_t file_size, const std::string& path) {
   Cursor cursor{data, available};
-  V3Directory dir;
+  Directory dir;
 
   std::uint64_t magic = 0;
   std::uint32_t version = 0;
@@ -38,10 +38,10 @@ V3Directory parse_v3(const char* data, std::size_t available,
   if (magic != kMagic) {
     throw std::runtime_error("PathLossDatabase: bad magic in " + path);
   }
-  if (version != kVersionMapped) {
+  if (version != kVersion) {
     throw std::runtime_error("PathLossDatabase: unsupported version " +
                              std::to_string(version) + " (expected " +
-                             std::to_string(kVersionMapped) + ") in " + path);
+                             std::to_string(kVersion) + ") in " + path);
   }
   cursor.read(dir.min_x, "truncated header in " + path);
   cursor.read(dir.min_y, "truncated header in " + path);
@@ -52,30 +52,29 @@ V3Directory parse_v3(const char* data, std::size_t available,
     throw std::runtime_error("PathLossDatabase: invalid grid geometry in " +
                              path);
   }
-  std::uint64_t directory_checksum = 0;
+  std::uint64_t checksum = 0;
   cursor.read(dir.entry_count, "truncated header in " + path);
-  cursor.read(directory_checksum, "truncated header in " + path);
+  cursor.read(checksum, "truncated header in " + path);
   cursor.read(dir.payload_end, "truncated header in " + path);
 
   // The directory must fit the real file (division first: a corrupted
   // entry count must not overflow the product).
   if (dir.entry_count > (file_size - std::min<std::uint64_t>(
-                             file_size, kHeaderBytesV3)) /
+                             file_size, kHeaderBytes)) /
                             kDirEntryBytes) {
     throw std::runtime_error("PathLossDatabase: truncated directory (" +
                              std::to_string(dir.entry_count) + " entries) in " +
                              path);
   }
-  const std::uint64_t dir_bytes = dir.entry_count * kDirEntryBytes;
-  const std::uint64_t dir_end = kHeaderBytesV3 + dir_bytes;
+  const std::uint64_t dir_end = kHeaderBytes + dir.entry_count * kDirEntryBytes;
   if (available < dir_end) {
     throw std::runtime_error("PathLossDatabase: truncated directory (" +
                              std::to_string(dir.entry_count) + " entries) in " +
                              path);
   }
-  if (util::fnv1a(data + kHeaderBytesV3, dir_bytes) != directory_checksum) {
-    throw std::runtime_error("PathLossDatabase: directory checksum mismatch in " +
-                             path);
+  if (front_checksum(data, dir.entry_count) != checksum) {
+    throw std::runtime_error(
+        "PathLossDatabase: header/directory checksum mismatch in " + path);
   }
   // payload_end is the file size the directory was written against. A
   // shorter file is a torn tail (the last page(s) never hit the disk); a
@@ -96,7 +95,7 @@ V3Directory parse_v3(const char* data, std::size_t available,
   for (std::uint64_t e = 0; e < dir.entry_count; ++e) {
     const std::string entry_context = "entry " + std::to_string(e) + " of " +
                                       std::to_string(dir.entry_count);
-    V3Entry entry;
+    DirEntry entry;
     cursor.read(entry.sector, "truncated " + entry_context + " in " + path);
     cursor.read(entry.tilt, "truncated " + entry_context + " in " + path);
     cursor.read(entry.col0, "truncated " + entry_context + " in " + path);
@@ -121,8 +120,8 @@ V3Directory parse_v3(const char* data, std::size_t available,
         throw std::runtime_error("PathLossDatabase: misaligned gain plane (" +
                                  entry_context + ") in " + path);
       }
-      if (entry.data_offset < dir_end ||
-          entry.data_offset + entry.window_bytes > dir.payload_end) {
+      if (entry.data_offset < dir_end || entry.data_offset > dir.payload_end ||
+          entry.window_bytes > dir.payload_end - entry.data_offset) {
         throw std::runtime_error("PathLossDatabase: truncated " +
                                  entry_context + " in " + path);
       }

@@ -1,9 +1,10 @@
 #include "pathloss/mapped_database.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <numeric>
 #include <stdexcept>
 
@@ -12,7 +13,6 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #define MAGUS_HAS_MMAP 1
-#include <fcntl.h>
 #include <sys/mman.h>
 #include <unistd.h>
 #else
@@ -54,41 +54,72 @@ struct MmapMetrics {
 
 }  // namespace
 
-format::V3Directory MappedPathLossDatabase::open_directory(
-    const std::string& path, std::size_t& file_bytes) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) throw std::runtime_error("PathLossDatabase: cannot open " + path);
-  const std::streamoff size = in.tellg();
-  file_bytes = size > 0 ? static_cast<std::size_t>(size) : 0;
-  in.seekg(0, std::ios::beg);
+MappedPathLossDatabase::File MappedPathLossDatabase::open_file(
+    const std::string& path) {
+  File file{std::fopen(path.c_str(), "rb")};
+  if (file == nullptr) {
+    throw std::runtime_error("PathLossDatabase: cannot open " + path);
+  }
+  return file;
+}
 
-  // Stream in the header, peek the entry count, then the directory — the
-  // only bytes an open ever reads. parse_v3 does all validation,
+bool MappedPathLossDatabase::read_at(std::uint64_t offset, void* data,
+                                     std::size_t bytes) const {
+#if MAGUS_HAS_MMAP
+  auto* out = static_cast<char*>(data);
+  while (bytes > 0) {
+    const ssize_t got = ::pread(::fileno(file_.get()), out, bytes,
+                                static_cast<off_t>(offset));
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) return false;
+    out += got;
+    offset += static_cast<std::uint64_t>(got);
+    bytes -= static_cast<std::size_t>(got);
+  }
+  return true;
+#else
+  const std::lock_guard lock{read_mutex_};
+  return std::fseek(file_.get(), static_cast<long>(offset), SEEK_SET) == 0 &&
+         std::fread(data, 1, bytes, file_.get()) == bytes;
+#endif
+}
+
+format::Directory MappedPathLossDatabase::read_directory() {
+  if (std::fseek(file_.get(), 0, SEEK_END) != 0) {
+    throw std::runtime_error("PathLossDatabase: read failed in " + path_);
+  }
+  const long size = std::ftell(file_.get());
+  file_bytes_ = size > 0 ? static_cast<std::size_t>(size) : 0;
+
+  // Read the header, peek the entry count, then the directory — the only
+  // bytes an open ever reads. parse_directory does all validation,
   // including rejecting a file too short for the directory it promises.
   std::vector<char> front(
-      std::min<std::size_t>(file_bytes, format::kHeaderBytesV3));
-  in.read(front.data(), static_cast<std::streamsize>(front.size()));
-  if (!in) throw std::runtime_error("PathLossDatabase: read failed in " + path);
-  if (front.size() >= format::kHeaderBytesV3) {
+      std::min<std::size_t>(file_bytes_, format::kHeaderBytes));
+  if (!read_at(0, front.data(), front.size())) {
+    throw std::runtime_error("PathLossDatabase: read failed in " + path_);
+  }
+  if (front.size() >= format::kHeaderBytes) {
     std::uint64_t count = 0;
-    std::memcpy(&count, front.data() + 44, sizeof(count));
-    if (count <= (file_bytes - front.size()) / format::kDirEntryBytes) {
+    std::memcpy(&count, front.data() + format::kEntryCountOffset,
+                sizeof(count));
+    if (count <= (file_bytes_ - front.size()) / format::kDirEntryBytes) {
       const std::size_t head = front.size();
-      const std::size_t dir_bytes =
-          static_cast<std::size_t>(count) * format::kDirEntryBytes;
-      front.resize(head + dir_bytes);
-      in.read(front.data() + head, static_cast<std::streamsize>(dir_bytes));
-      if (!in) {
-        throw std::runtime_error("PathLossDatabase: read failed in " + path);
+      front.resize(head +
+                   static_cast<std::size_t>(count) * format::kDirEntryBytes);
+      if (!read_at(head, front.data() + head, front.size() - head)) {
+        throw std::runtime_error("PathLossDatabase: read failed in " + path_);
       }
     }
   }
-  return format::parse_v3(front.data(), front.size(), file_bytes, path);
+  return format::parse_directory(front.data(), front.size(), file_bytes_,
+                                 path_);
 }
 
 MappedPathLossDatabase::MappedPathLossDatabase(const std::string& path)
     : path_(path),
-      dir_(open_directory(path_, file_bytes_)),
+      file_(open_file(path_)),
+      dir_(read_directory()),
       grid_(geo::Rect{{dir_.min_x, dir_.min_y},
                       {dir_.min_x + dir_.cols * dir_.cell_size_m,
                        dir_.min_y + dir_.rows * dir_.cell_size_m}},
@@ -97,33 +128,29 @@ MappedPathLossDatabase::MappedPathLossDatabase(const std::string& path)
   try {
 #if MAGUS_HAS_MMAP
     if (!mmap_disabled_by_env()) {
-      const int fd = ::open(path_.c_str(), O_RDONLY);
-      if (fd < 0) {
-        throw std::runtime_error("PathLossDatabase: cannot open " + path_);
-      }
-      void* map =
-          ::mmap(nullptr, file_bytes_, PROT_READ, MAP_PRIVATE, fd, 0);
-      ::close(fd);  // the mapping keeps the file alive
+      void* map = ::mmap(nullptr, file_bytes_, PROT_READ, MAP_PRIVATE,
+                         ::fileno(file_.get()), 0);
       if (map == MAP_FAILED) {
         throw std::runtime_error(
             "MappedPathLossDatabase: mmap failed for " + path_);
       }
       map_ = static_cast<const std::byte*>(map);
       map_length_ = file_bytes_;
+      file_.reset();  // the mapping keeps the file alive
     }
 #endif
     count_ = dir_.entries.size();
     std::vector<std::size_t> order(count_);
     std::iota(order.begin(), order.end(), std::size_t{0});
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      const format::V3Entry& ea = dir_.entries[a];
-      const format::V3Entry& eb = dir_.entries[b];
+      const format::DirEntry& ea = dir_.entries[a];
+      const format::DirEntry& eb = dir_.entries[b];
       return std::pair{ea.sector, ea.tilt} < std::pair{eb.sector, eb.tilt};
     });
     keys_.reserve(count_);
     entries_ = std::make_unique<Entry[]>(count_);
     for (std::size_t i = 0; i < count_; ++i) {
-      const format::V3Entry& meta = dir_.entries[order[i]];
+      const format::DirEntry& meta = dir_.entries[order[i]];
       keys_.emplace_back(meta.sector, meta.tilt);
       entries_[i].meta = meta;
       if (map_ != nullptr) mapped_bytes_ += meta.window_bytes;
@@ -180,20 +207,16 @@ void MappedPathLossDatabase::materialize(Entry& entry) {
   const std::lock_guard lock{entry.mutex};
   if (entry.ready.load(std::memory_order_relaxed)) return;
 
-  const format::V3Entry& meta = entry.meta;
+  const format::DirEntry& meta = entry.meta;
   const float* plane = nullptr;
   if (map_ != nullptr) {
     plane = reinterpret_cast<const float*>(map_ + meta.data_offset);
   } else if (meta.window_bytes > 0) {
     // Positioned-read fallback: same laziness and validation order, the
-    // plane just lives in an entry-owned heap buffer. A fresh stream per
-    // touch keeps this path lock-free across entries.
+    // plane just lives in an entry-owned heap buffer.
     entry.fallback_plane.resize(meta.window_bytes / sizeof(float));
-    std::ifstream in(path_, std::ios::binary);
-    in.seekg(static_cast<std::streamoff>(meta.data_offset));
-    in.read(reinterpret_cast<char*>(entry.fallback_plane.data()),
-            static_cast<std::streamsize>(meta.window_bytes));
-    if (!in) {
+    if (!read_at(meta.data_offset, entry.fallback_plane.data(),
+                 meta.window_bytes)) {
       entry.fallback_plane = std::vector<float>{};
       throw std::runtime_error("PathLossDatabase: read failed in " + path_);
     }

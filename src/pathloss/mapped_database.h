@@ -1,13 +1,15 @@
 // MappedPathLossDatabase: the zero-copy, demand-paged path-loss provider
-// over a v3 file (see pathloss/format.h for the layout).
+// over a path-loss database file (see pathloss/format.h for the layout).
 //
 // Opening one is O(directory): the file is mmap'd, the few-KB header +
-// directory are read and structurally validated (directory checksum,
-// plane extents vs the real file size — so a truncated directory or a
-// torn last page fails *at open*, never as a SIGBUS later), and nothing
-// else happens. A footprint materializes lazily on its first footprint()
-// touch: the entry's checksum is verified over the raw mapped bytes, the
-// dB gain window is aliased zero-copy out of the mapping (the
+// directory are read and structurally validated (header/directory
+// checksum, plane extents vs the real file size — so a truncated
+// directory or a torn last page fails *at open*, never as a SIGBUS
+// later), and nothing else happens. PathLossDatabase::save replaces a
+// file by rename, never in place, so a mapped file is never cut short
+// under its reader either. A footprint materializes lazily on its first
+// footprint() touch: the entry's checksum is verified over the raw mapped
+// bytes, the dB gain window is aliased zero-copy out of the mapping (the
 // SectorFootprint borrowed-window mode), and only the 10^(g/10) linear
 // twin is computed into the heap. A bit flip inside a gain plane is
 // therefore caught on first touch, not at open — the price of not reading
@@ -34,11 +36,14 @@
 // directory parse is identical, and a first touch pread()s the plane into
 // an entry-owned heap buffer instead of aliasing the mapping (laziness and
 // validation order preserved; the dB window just counts as heap bytes).
+// Either way the provider reads one open file from open to close: a save
+// that renames a new file over the path leaves it on the old one.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -53,7 +58,7 @@ namespace magus::pathloss {
 
 class MappedPathLossDatabase final : public PathLossProvider {
  public:
-  /// Opens and structurally validates `path` (must be a v3 file). Throws
+  /// Opens and structurally validates `path`. Throws
   /// std::runtime_error with the same messages as PathLossDatabase::load
   /// on a bad header/directory/extent.
   explicit MappedPathLossDatabase(const std::string& path);
@@ -102,18 +107,27 @@ class MappedPathLossDatabase final : public PathLossProvider {
 
  private:
   struct Entry {
-    format::V3Entry meta;
+    format::DirEntry meta;
     std::mutex mutex;                ///< guards materialize/release
     std::atomic<bool> ready{false};  ///< acquire/release publication
     SectorFootprint fp;
     std::vector<float> fallback_plane;  ///< no-mmap mode only
   };
 
-  /// Reads and validates the header + directory (streamed, no mapping);
-  /// sets file_bytes. Factored out so grid_ can be built in the
-  /// initializer list from the parsed directory.
-  [[nodiscard]] static format::V3Directory open_directory(
-      const std::string& path, std::size_t& file_bytes);
+  struct CloseFile {
+    void operator()(std::FILE* file) const { std::fclose(file); }
+  };
+  using File = std::unique_ptr<std::FILE, CloseFile>;
+
+  [[nodiscard]] static File open_file(const std::string& path);
+  /// Reads `bytes` at `offset` of file_; false on a short read. Safe to
+  /// call concurrently.
+  [[nodiscard]] bool read_at(std::uint64_t offset, void* data,
+                             std::size_t bytes) const;
+  /// Reads and validates the header + directory through file_ (no
+  /// mapping); sets file_bytes_. Runs in the initializer list so grid_
+  /// can be built from the parsed directory.
+  [[nodiscard]] format::Directory read_directory();
 
   [[nodiscard]] Entry* find(net::SectorId sector, radio::TiltIndex tilt);
   [[nodiscard]] const Entry* find(net::SectorId sector,
@@ -122,9 +136,16 @@ class MappedPathLossDatabase final : public PathLossProvider {
   void unmap() noexcept;
 
   std::string path_;
+  /// The one handle every read goes through, so the directory, the
+  /// mapping and each fallback plane come from the same file even when a
+  /// save renames a new one over path_ meanwhile. Closed once mapped: the
+  /// mapping pins the file itself.
+  File file_;
+  /// Serializes seek + read on hosts without positioned reads.
+  mutable std::mutex read_mutex_;
   std::size_t file_bytes_ = 0;
   /// Parsed at open; its entry list is moved into entries_ and cleared.
-  format::V3Directory dir_;
+  format::Directory dir_;
   geo::GridMap grid_;
   std::size_t mapped_bytes_ = 0;  ///< sum of plane bytes when mmap'd
   const std::byte* map_ = nullptr;

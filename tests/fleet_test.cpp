@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "fleet/wave_planner.h"
 #include "test_helpers.h"
@@ -114,37 +116,43 @@ TEST(MarketStore, MissBuildsThenHitsThenReloadsAcrossStores) {
 
 TEST(MarketStore, EvictsLruUnderByteBudgetAndRematerializes) {
   const std::string dir = fresh_dir("fleet_store_evict");
-  StoreOptions options;
-  options.db_dir = dir;
-  options.threads = 1;
-  // Force the eager provider: this test pins the rung-2 (whole-market
-  // eviction) semantics; streaming rung-1 releases are covered separately.
-  options.prefer_mapped = false;
+  StoreOptions options = store_options(dir);
   const std::vector<MarketSpec> specs = specs_from_fleet(tiny_fleet(3));
 
-  // Measure one market's footprint, then budget for roughly one market.
-  std::size_t one_market_bytes = 0;
+  // Measure one streaming market's linear-twin heap, then budget below
+  // it: releasing a cold market's twins (rung 1) cannot bring the charge
+  // under the budget, so rung 2 must evict the market afterwards.
+  std::size_t one_market_twins = 0;
   {
-    MarketStore probe{specs, options};
-    one_market_bytes = probe.acquire(0)->resident_bytes();
+    MarketStore warm{specs, options};
+    const auto h0 = warm.acquire(0);
+    EXPECT_TRUE(h0->streaming()) << h0->load_error();
+    one_market_twins = h0->db_resident_bytes();
+    ASSERT_GT(one_market_twins, 0u);
   }
-  options.byte_budget = one_market_bytes + one_market_bytes / 2;
+  options.byte_budget = one_market_twins / 2;
 
   MarketStore store{specs, options};
   const auto h0 = store.acquire(0);
+  ASSERT_TRUE(h0->streaming());
+  const std::size_t h0_twins = h0->db_resident_bytes();
   (void)store.acquire(1);
   (void)store.acquire(2);
+  EXPECT_GT(store.releases(), 0u);
   EXPECT_GT(store.evictions(), 0u);
-  EXPECT_LT(store.resident_count(), 3u);
+  EXPECT_EQ(store.resident_count(), 1u);
 
-  // Market 0 was evicted (LRU); its handle we still hold stays usable and
-  // a re-acquire rematerializes from disk, not from the terrain stack.
+  // Market 0 was released first (its twins are gone), then evicted (LRU).
+  // The handle we still hold stays usable, and a re-acquire
+  // rematerializes from disk, not from the terrain stack.
   EXPECT_FALSE(store.resident(0));
+  EXPECT_EQ(h0->db_resident_bytes(), 0u);
   EXPECT_GT(h0->db_entry_count(), 0u);
   const auto h0_again = store.acquire(0);
   EXPECT_FALSE(h0_again->rebuilt()) << h0_again->load_error();
+  EXPECT_TRUE(h0_again->streaming());
   EXPECT_NE(h0_again.get(), h0.get());
-  EXPECT_EQ(h0_again->db_resident_bytes(), h0->db_resident_bytes());
+  EXPECT_EQ(h0_again->db_resident_bytes(), h0_twins);
 }
 
 TEST(MarketStore, StreamingReleasesFootprintsBeforeEvicting) {
@@ -152,7 +160,7 @@ TEST(MarketStore, StreamingReleasesFootprintsBeforeEvicting) {
   StoreOptions options = store_options(dir);
   const std::vector<MarketSpec> specs = specs_from_fleet(tiny_fleet(2));
 
-  // Warm pass: rebuilds save v3 and reopen through the mapping, so both
+  // Warm pass: rebuilds save the file and reopen it mapped, so both
   // handles stream; measure full residency for the budget arithmetic.
   std::size_t full0 = 0;
   std::size_t full1 = 0;
@@ -193,37 +201,49 @@ TEST(MarketStore, StreamingReleasesFootprintsBeforeEvicting) {
   EXPECT_EQ(h0_again->db_resident_bytes(), db0);
 }
 
-TEST(MarketStore, MigratesV2FilesToV3OnAcquire) {
-  const std::string dir = fresh_dir("fleet_store_migrate");
+TEST(MarketStore, RebuildsUnsupportedOrCorruptFileAndStreams) {
+  const std::string dir = fresh_dir("fleet_store_repair");
   StoreOptions options = store_options(dir);
   const std::vector<MarketSpec> specs = specs_from_fleet(tiny_fleet(1));
   {
     MarketStore seed_store{specs, options};
-    (void)seed_store.acquire(0);  // rebuild, v3 resave
+    (void)seed_store.acquire(0);  // rebuild, save
   }
   const std::string path = MarketStore{specs, options}.db_path(0);
-  // Downgrade the file to v2 — the pre-upgrade fleet state.
-  pathloss::PathLossDatabase::load(path).save(path);
-  ASSERT_EQ(pathloss::PathLossDatabase::probe(path).version,
-            pathloss::format::kVersionEager);
+  const auto read_file = [&] {
+    std::ifstream in(path, std::ios::binary);
+    return std::string{std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>()};
+  };
+  const std::string pristine = read_file();
 
-  MarketStore store{specs, options};
-  const auto handle = store.acquire(0);
-  EXPECT_FALSE(handle->rebuilt()) << handle->load_error();
-  EXPECT_TRUE(handle->migrated());
-  EXPECT_TRUE(handle->streaming());
-  EXPECT_EQ(pathloss::PathLossDatabase::probe(path).version,
-            pathloss::format::kVersionMapped);
+  // An old format version, then a torn file: each is refused at the
+  // streaming open, rebuilt from the propagation stack, saved, and
+  // reopened streaming.
+  std::string old_version = pristine;
+  old_version[pathloss::format::kVersionOffset] = 2;
+  const std::string torn = pristine.substr(0, pristine.size() / 2);
+  for (const auto& [bytes, error] :
+       {std::pair{old_version, std::string{"unsupported version 2"}},
+        std::pair{torn, std::string{"torn payload"}}}) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    MarketStore store{specs, options};
+    const auto handle = store.acquire(0);
+    EXPECT_TRUE(handle->rebuilt());
+    EXPECT_NE(handle->load_error().find(error), std::string::npos)
+        << handle->load_error();
+    EXPECT_TRUE(handle->streaming());
 
-  // With streaming opted out the same v3 file loads eagerly; the eager
-  // database holds windows + twins where the mapped one heaps only twins.
-  options.prefer_mapped = false;
-  MarketStore eager_store{specs, options};
-  const auto eager = eager_store.acquire(0);
-  EXPECT_FALSE(eager->rebuilt()) << eager->load_error();
-  EXPECT_FALSE(eager->streaming());
-  EXPECT_FALSE(eager->migrated());
-  EXPECT_GT(eager->db_resident_bytes(), handle->db_resident_bytes());
+    // The repaired file is the pristine one and maps on the next acquire.
+    EXPECT_EQ(read_file(), pristine);
+    MarketStore reopened{specs, options};
+    const auto again = reopened.acquire(0);
+    EXPECT_FALSE(again->rebuilt()) << again->load_error();
+    EXPECT_TRUE(again->streaming());
+  }
 }
 
 TEST(MarketStore, UnknownMarketThrows) {

@@ -414,255 +414,6 @@ TEST(Database, InsertValidatesGrid) {
                std::invalid_argument);
 }
 
-
-// Corruption fixtures for the v2 integrity-checked format: every failure
-// mode must be rejected with its specific error message, and
-// load_or_rebuild must repair all of them from a fallback provider.
-class DatabaseCorruption : public ::testing::Test {
- protected:
-  DatabaseCorruption()
-      : grid_(geo::Rect{{0, 0}, {400, 300}}, 100.0), provider_(grid_) {
-    // Two entries on a 4x3 grid, hand-authored so byte offsets are exact.
-    const auto nan = std::numeric_limits<float>::quiet_NaN();
-    for (const int tilt : {0, 1}) {
-      std::vector<float> dense(12, nan);
-      dense[1 * 4 + 1] = -80.0f - tilt;
-      dense[1 * 4 + 2] = -90.0f - tilt;
-      provider_.set_footprint(0, static_cast<radio::TiltIndex>(tilt), dense);
-    }
-    // One file per test: under `ctest -j` each TEST_F runs as its own
-    // process, so a shared name would let two corruption tests clobber
-    // each other's bytes mid-run.
-    path_ = ::testing::TempDir() + "/magus_pl_corrupt_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-            ".bin";
-    PathLossDatabase db{grid_};
-    db.insert(0, 0, provider_.footprint(0, 0));
-    db.insert(0, 1, provider_.footprint(0, 1));
-    db.save(path_);
-  }
-
-  ~DatabaseCorruption() override { std::remove(path_.c_str()); }
-
-  [[nodiscard]] std::string read_file() const {
-    std::ifstream in(path_, std::ios::binary);
-    return std::string{std::istreambuf_iterator<char>(in),
-                       std::istreambuf_iterator<char>()};
-  }
-
-  void write_file(const std::string& bytes) const {
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-
-  /// Loads and returns the error message, failing the test on success.
-  [[nodiscard]] std::string load_error() const {
-    try {
-      (void)PathLossDatabase::load(path_);
-    } catch (const std::runtime_error& error) {
-      return error.what();
-    }
-    ADD_FAILURE() << "load unexpectedly succeeded";
-    return {};
-  }
-
-  // v2 layout: magic(8) version(4) min_x(8) min_y(8) cell(8) cols(4)
-  // rows(4) entry_count(8) = 52-byte header; each entry is sector(4)
-  // tilt(4) col0(4) row0(4) wcols(4) wrows(4) checksum(8) + floats.
-  static constexpr std::size_t kHeaderBytes = 52;
-  static constexpr std::size_t kVersionOffset = 8;
-  static constexpr std::size_t kEntryGeometryBytes = 24;
-
-  geo::GridMap grid_;
-  magus::testing::FakeProvider provider_;
-  std::string path_;
-};
-
-TEST_F(DatabaseCorruption, TruncatedHeaderRejected) {
-  write_file(read_file().substr(0, kHeaderBytes / 2));
-  EXPECT_NE(load_error().find("truncated header"), std::string::npos);
-}
-
-TEST_F(DatabaseCorruption, UnsupportedVersionRejected) {
-  std::string bytes = read_file();
-  bytes[kVersionOffset] = 1;  // little-endian version field -> v1
-  write_file(bytes);
-  EXPECT_NE(load_error().find("unsupported version 1"), std::string::npos);
-}
-
-TEST_F(DatabaseCorruption, TruncatedEntryRejected) {
-  const std::string bytes = read_file();
-  write_file(bytes.substr(0, bytes.size() - 2));  // clip the last gains
-  EXPECT_NE(load_error().find("truncated entry 1 of 2"), std::string::npos);
-}
-
-TEST_F(DatabaseCorruption, BitFlipInGainsFailsChecksum) {
-  std::string bytes = read_file();
-  bytes[bytes.size() - 3] =
-      static_cast<char>(bytes[bytes.size() - 3] ^ 0x10);
-  write_file(bytes);
-  const std::string error = load_error();
-  EXPECT_NE(error.find("checksum mismatch"), std::string::npos) << error;
-  EXPECT_NE(error.find("entry 1 of 2"), std::string::npos) << error;
-}
-
-TEST_F(DatabaseCorruption, OversizedWindowRejectedBeforeAllocation) {
-  std::string bytes = read_file();
-  // Patch entry 0's window_cols (offset 16 into the entry) to a huge
-  // value; the loader must refuse before trying to allocate it.
-  const std::size_t offset = kHeaderBytes + 16;
-  const std::int32_t huge = 1 << 28;
-  std::memcpy(bytes.data() + offset, &huge, sizeof(huge));
-  write_file(bytes);
-  EXPECT_NE(load_error().find("oversized window (entry 0 of 2)"),
-            std::string::npos);
-}
-
-TEST_F(DatabaseCorruption, WindowOutsideGridRejected) {
-  std::string bytes = read_file();
-  // Shift entry 0's col0 so col0 + window_cols overruns the 4-wide grid
-  // while window_cols itself stays plausible.
-  const std::size_t offset = kHeaderBytes + 8;
-  const std::int32_t col0 = 3;
-  std::memcpy(bytes.data() + offset, &col0, sizeof(col0));
-  write_file(bytes);
-  const std::string error = load_error();
-  EXPECT_NE(error.find("does not fit the grid"), std::string::npos) << error;
-}
-
-TEST_F(DatabaseCorruption, TrailingBytesRejected) {
-  write_file(read_file() + "extra");
-  EXPECT_NE(load_error().find("trailing bytes after 2 entries"),
-            std::string::npos);
-}
-
-TEST_F(DatabaseCorruption, LoadOrRebuildRepairsCorruptFile) {
-  std::string bytes = read_file();
-  bytes[bytes.size() - 3] =
-      static_cast<char>(bytes[bytes.size() - 3] ^ 0x10);
-  write_file(bytes);
-
-  const std::vector<net::SectorId> sectors = {0};
-  const std::vector<radio::TiltIndex> tilts = {0, 1};
-  PathLossDatabase::LoadReport report;
-  PathLossDatabase db = PathLossDatabase::load_or_rebuild(
-      path_, provider_, sectors, tilts, &report);
-  EXPECT_TRUE(report.rebuilt);
-  EXPECT_TRUE(report.resaved);
-  EXPECT_NE(report.error.find("checksum mismatch"), std::string::npos);
-  ASSERT_EQ(db.entry_count(), 2u);
-  EXPECT_FLOAT_EQ(db.footprint(0, 0).gain_db(5), -80.0f);
-  // The repaired file on disk loads cleanly now.
-  const PathLossDatabase reloaded = PathLossDatabase::load(path_);
-  EXPECT_EQ(reloaded.entry_count(), 2u);
-}
-
-TEST_F(DatabaseCorruption, ParallelLoadReportsSameErrors) {
-  // The parallel loader must report the same specific message as the
-  // serial scan for every corruption class, for any thread count.
-  std::string bytes = read_file();
-  bytes[bytes.size() - 3] =
-      static_cast<char>(bytes[bytes.size() - 3] ^ 0x10);
-  write_file(bytes);
-  for (const std::size_t threads : {1u, 3u}) {
-    try {
-      (void)PathLossDatabase::load(path_, threads);
-      ADD_FAILURE() << "load unexpectedly succeeded at threads " << threads;
-    } catch (const std::runtime_error& error) {
-      EXPECT_NE(std::string{error.what()}.find(
-                    "checksum mismatch (entry 1 of 2"),
-                std::string::npos)
-          << error.what();
-    }
-  }
-}
-
-TEST_F(DatabaseCorruption, LoadOrRebuildParallelMatchesSerial) {
-  // A corrupted entry forces the rebuild path; rebuilding across threads
-  // must produce a database (and a re-saved file) identical to the serial
-  // rebuild.
-  const std::string corrupted = [&] {
-    std::string bytes = read_file();
-    bytes[bytes.size() - 3] =
-        static_cast<char>(bytes[bytes.size() - 3] ^ 0x10);
-    return bytes;
-  }();
-  const std::vector<net::SectorId> sectors = {0};
-  const std::vector<radio::TiltIndex> tilts = {0, 1};
-
-  write_file(corrupted);
-  PathLossDatabase::LoadReport serial_report;
-  PathLossDatabase serial = PathLossDatabase::load_or_rebuild(
-      path_, provider_, sectors, tilts, &serial_report, 1);
-  const std::string serial_file = read_file();
-
-  write_file(corrupted);
-  PathLossDatabase::LoadReport parallel_report;
-  PathLossDatabase parallel = PathLossDatabase::load_or_rebuild(
-      path_, provider_, sectors, tilts, &parallel_report, 3);
-
-  EXPECT_TRUE(serial_report.rebuilt);
-  EXPECT_TRUE(parallel_report.rebuilt);
-  EXPECT_EQ(serial_report.error, parallel_report.error);
-  ASSERT_EQ(parallel.entry_count(), serial.entry_count());
-  for (const radio::TiltIndex tilt : tilts) {
-    const auto& a = serial.footprint(0, tilt);
-    const auto& b = parallel.footprint(0, tilt);
-    ASSERT_EQ(a.window().size(), b.window().size());
-    EXPECT_EQ(std::memcmp(a.window().data(), b.window().data(),
-                          a.window().size() * sizeof(float)),
-              0);
-  }
-  EXPECT_EQ(read_file(), serial_file);  // re-saved bytes identical too
-}
-
-TEST_F(DatabaseCorruption, LoadOrRebuildDetectsGridMismatch) {
-  // A pristine file whose grid disagrees with the provider counts as
-  // unusable: the model would silently mis-index every footprint.
-  const geo::GridMap other{geo::Rect{{0, 0}, {600, 300}}, 100.0};
-  PathLossDatabase wrong{other};
-  const auto nan = std::numeric_limits<float>::quiet_NaN();
-  std::vector<float> dense(18, nan);
-  dense[7] = -85.0f;
-  wrong.insert(0, 0, SectorFootprint{std::move(dense), 6, 3});
-  wrong.save(path_);
-
-  const std::vector<net::SectorId> sectors = {0};
-  const std::vector<radio::TiltIndex> tilts = {0, 1};
-  PathLossDatabase::LoadReport report;
-  PathLossDatabase db = PathLossDatabase::load_or_rebuild(
-      path_, provider_, sectors, tilts, &report);
-  EXPECT_TRUE(report.rebuilt);
-  EXPECT_NE(report.error.find("grid mismatch"), std::string::npos)
-      << report.error;
-  EXPECT_EQ(db.grid().cols(), grid_.cols());
-  EXPECT_EQ(db.entry_count(), 2u);
-}
-
-TEST_F(DatabaseCorruption, PristineFileLoadsWithoutRebuild) {
-  const std::vector<net::SectorId> sectors = {0};
-  const std::vector<radio::TiltIndex> tilts = {0, 1};
-  PathLossDatabase::LoadReport report;
-  const PathLossDatabase db = PathLossDatabase::load_or_rebuild(
-      path_, provider_, sectors, tilts, &report);
-  EXPECT_FALSE(report.rebuilt);
-  EXPECT_FALSE(report.resaved);
-  EXPECT_TRUE(report.error.empty());
-  EXPECT_EQ(db.entry_count(), 2u);
-}
-
-TEST_F(DatabaseCorruption, MissingFileRebuildsFromProvider) {
-  std::remove(path_.c_str());
-  const std::vector<net::SectorId> sectors = {0};
-  const std::vector<radio::TiltIndex> tilts = {0, 1};
-  PathLossDatabase::LoadReport report;
-  const PathLossDatabase db = PathLossDatabase::load_or_rebuild(
-      path_, provider_, sectors, tilts, &report);
-  EXPECT_TRUE(report.rebuilt);
-  EXPECT_NE(report.error.find("cannot open"), std::string::npos);
-  EXPECT_EQ(db.entry_count(), 2u);
-}
-
 // Property sweep: random sparse footprints of several shapes must survive a
 // database round trip bit-exactly, and the windowed representation must
 // agree with the dense input everywhere.

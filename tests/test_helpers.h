@@ -1,6 +1,7 @@
 // Shared fixtures for the magus test suite.
 #pragma once
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <vector>
@@ -8,6 +9,7 @@
 #include "data/experiment.h"
 #include "net/network.h"
 #include "pathloss/database.h"
+#include "util/rng.h"
 
 namespace magus::testing {
 
@@ -40,6 +42,34 @@ class FakeProvider final : public pathloss::PathLossProvider {
   geo::GridMap grid_;
   std::map<std::pair<std::int32_t, std::int32_t>, pathloss::SectorFootprint>
       entries_;
+};
+
+/// The on-disk format suites' database: sector 0 at tilts 0 and 1 on a
+/// 4x3 grid of 100 m cells, each tilt covering cells 5 and 6 (the middle
+/// row's inner pair) with gains drawn from `seed`. Its file is 8200
+/// bytes: a 68-B header, two 40-B directory records and two 8-B gain
+/// planes on the page boundaries 4096 and 8192, so a sweep can visit
+/// every byte.
+struct TwoEntryDatabase {
+  geo::GridMap grid{geo::Rect{{0.0, 0.0}, {400.0, 300.0}}, 100.0};
+  FakeProvider provider{grid};
+
+  explicit TwoEntryDatabase(std::uint64_t seed) {
+    util::Xoshiro256ss rng{seed};
+    for (const radio::TiltIndex tilt : {0, 1}) {
+      std::vector<float> dense(12, std::numeric_limits<float>::quiet_NaN());
+      dense[5] = static_cast<float>(rng.uniform(-100.0, -60.0));
+      dense[6] = static_cast<float>(rng.uniform(-140.0, -100.0));
+      provider.set_footprint(0, tilt, std::move(dense));
+    }
+  }
+
+  [[nodiscard]] pathloss::PathLossDatabase database() {
+    pathloss::PathLossDatabase db{grid};
+    db.insert(0, 0, provider.footprint(0, 0));
+    db.insert(0, 1, provider.footprint(0, 1));
+    return db;
+  }
 };
 
 /// A 1-D world: `cells` cells of 100 m along the x axis, sector 0 at the
